@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race lint lint-baseline vet-bench race faults chaos check bench metrics library-bench stream-bench cluster-bench tools examples cover clean
+.PHONY: all build test test-race lint lint-baseline vet-bench race faults chaos fuzz-smoke check bench metrics library-bench stream-bench cluster-bench tools examples cover clean
 
 all: build test
 
@@ -64,8 +64,17 @@ chaos:
 		./internal/health/ ./internal/faults/ ./internal/resilience/ \
 		./internal/keymgmt/ ./internal/library/ ./internal/server/ ./internal/player/
 
+# Differential fuzz smoke, 15 s per target: the byte-level scanner
+# against the encoding/xml reference tokenizer, the streaming
+# canonicalizer against the tree walker, and the streaming digest
+# against the DOM pipeline (see DESIGN.md §14).
+fuzz-smoke:
+	$(GO) test ./internal/xmlstream -run '^$$' -fuzz '^FuzzTokenizerDifferential$$' -fuzztime 15s
+	$(GO) test ./internal/c14n -run '^$$' -fuzz '^FuzzStreamDifferential$$' -fuzztime 15s
+	$(GO) test ./internal/xmldsig -run '^$$' -fuzz '^FuzzDigestDifferential$$' -fuzztime 15s
+
 # The full gate CI runs on every change.
-check: build lint lint-baseline race faults chaos metrics library-bench stream-bench cluster-bench
+check: build lint lint-baseline race faults chaos fuzz-smoke metrics library-bench stream-bench cluster-bench
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -40,6 +40,7 @@ go test -race ./...
 go test -race ./internal/analysis/...
 make faults
 make chaos
+make fuzz-smoke
 make metrics
 make library-bench
 make stream-bench

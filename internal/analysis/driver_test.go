@@ -102,10 +102,11 @@ func TestXMLParseFixture(t *testing.T) {
 	checkFixture(t, pkg, XMLParse)
 }
 
-func TestXMLParseAllowedInXMLDOM(t *testing.T) {
-	pkg := loadFixture(t, "xmlparse", "discsec/internal/xmldom/xpfixture")
-	if diags := Run([]*Package{pkg}, []*Analyzer{XMLParse}); len(diags) != 0 {
-		t.Errorf("got %d diagnostics under internal/xmldom, want 0: %v", len(diags), diags)
+// TestXMLParseFlagsParserPackages: the parsing layer itself has no
+// exemption any more — its scanner owns tokenizing outright.
+func TestXMLParseFlagsParserPackages(t *testing.T) {
+	for _, path := range []string{"discsec/internal/xmlstream/xpfixture", "discsec/internal/xmldom/xpfixture"} {
+		checkFixture(t, loadFixture(t, "xmlparse", path), XMLParse)
 	}
 }
 

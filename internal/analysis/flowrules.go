@@ -85,6 +85,7 @@ var readerConsumers = []ReaderRef{
 	{FuncRef: FuncRef{Pkg: "io", Name: "ReadAll"}, Arg: 0},
 	{FuncRef: FuncRef{Pkg: "io", Name: "Copy"}, Arg: 1},
 	{FuncRef: FuncRef{Pkg: "io", Name: "CopyN"}, Arg: 1},
+	{FuncRef: FuncRef{Pkg: "bytes", Recv: "Buffer", Name: "ReadFrom"}, Arg: 1},
 	{FuncRef: FuncRef{Pkg: "encoding/json", Recv: "Decoder", Name: "Decode"}, Arg: 0},
 	// The streaming verification entries: what they read IS the
 	// document, so a partially drained or re-used reader verifies the

@@ -42,8 +42,8 @@ func wrapAfterConsume(r io.Reader) io.Reader {
 	return io.LimitReader(r, 10) // want onceonly
 }
 
-// counting mirrors the library's countReader: a struct wrapper carries
-// the wrapped reader's one-shot identity.
+// counting is a byte-counting struct wrapper: it carries the wrapped
+// reader's one-shot identity.
 type counting struct {
 	r io.Reader
 	n int64

@@ -1,6 +1,8 @@
 // Fixture for the xmlparse analyzer. Loaded by driver_test.go as a
-// package under internal/server (flagged) and under internal/xmldom
-// (clean: the hardened parser itself may use encoding/xml).
+// package under internal/server and under internal/xmlstream: both are
+// flagged, because no production package — the tokenizer's own
+// included — may import encoding/xml. (Test files may; the loader does
+// not analyze them.)
 package fixture
 
 import "encoding/xml" // want xmlparse

@@ -3,6 +3,7 @@ package c14n
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"discsec/internal/obs"
 	"discsec/internal/xmldom"
@@ -31,6 +32,16 @@ type Stream struct {
 	sp   obs.Span
 	err  error
 
+	// scratch holds the output buffer and the per-element state. It is
+	// pooled: NewStream takes one, Close returns it.
+	*scratch
+
+	depth    int
+	seenRoot bool
+}
+
+// scratch is the reusable part of a Stream.
+type scratch struct {
 	// buf batches canonical bytes so the writer (typically a hash)
 	// sees large writes; it is reused, never retained.
 	buf []byte
@@ -48,9 +59,37 @@ type Stream struct {
 	utilized []string
 	nsOut    []nsBinding
 	attrOut  []attrEntry
+}
 
-	depth    int
-	seenRoot bool
+var scratchPool = sync.Pool{New: newScratch}
+
+// newScratch is the pool's first-touch factory: a declared function so
+// NewStream never builds a closure.
+func newScratch() any {
+	return &scratch{buf: make([]byte, 0, streamFlushAt)}
+}
+
+// release empties the scratch for its next Stream. Strings the last
+// document left behind are cleared so the pool does not pin them; a
+// buffer one huge token grew far past the flush threshold is dropped.
+func (sc *scratch) release() {
+	if cap(sc.buf) > 4*streamFlushAt {
+		sc.buf = make([]byte, 0, streamFlushAt)
+	}
+	sc.buf = sc.buf[:0]
+	sc.scope = clearBindings(sc.scope)
+	sc.rendered = clearBindings(sc.rendered)
+	sc.nsOut = clearBindings(sc.nsOut)
+	sc.scopeMarks, sc.renderedMarks = sc.scopeMarks[:0], sc.renderedMarks[:0]
+	clear(sc.utilized[:cap(sc.utilized)])
+	sc.utilized = sc.utilized[:0]
+	clear(sc.attrOut[:cap(sc.attrOut)])
+	sc.attrOut = sc.attrOut[:0]
+}
+
+func clearBindings(b []nsBinding) []nsBinding {
+	clear(b[:cap(b)])
+	return b[:0]
 }
 
 type nsBinding struct {
@@ -77,19 +116,28 @@ func NewStream(w io.Writer, opts Options) (*Stream, error) {
 		return nil, fmt.Errorf("c14n: streaming canonicalization supports exclusive mode only")
 	}
 	return &Stream{
-		w:    w,
-		opts: opts,
-		sp:   opts.Recorder.Start(obs.StageC14N),
-		buf:  make([]byte, 0, streamFlushAt),
+		w:       w,
+		opts:    opts,
+		sp:      opts.Recorder.Start(obs.StageC14N),
+		scratch: scratchPool.Get().(*scratch),
 	}, nil
 }
 
-// Close flushes buffered canonical bytes and ends the span. It must be
-// called after a successful parse; the canonical output is complete
-// only once Close returns nil.
+// Close flushes buffered canonical bytes, ends the span, and returns
+// the Stream's buffers to the pool. It must be called after a
+// successful parse; the canonical output is complete only once Close
+// returns nil. The Stream must not be fed tokens after Close; calling
+// Close again only reports the first result.
 func (s *Stream) Close() error {
+	if s.scratch == nil {
+		return s.err
+	}
 	s.flush()
 	s.sp.End()
+	sc := s.scratch
+	s.scratch = nil
+	sc.release()
+	scratchPool.Put(sc)
 	return s.err
 }
 

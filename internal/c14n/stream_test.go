@@ -154,6 +154,36 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestKeyPassSteadyStateAllocs measures a whole key pass — NewStream,
+// one tokenization feeding it, Close — once warm. The flush buffer and
+// the per-element scratch come from the pool and the tokenizer interns
+// names and short values, so the Stream handle itself is the only
+// allocation left; the 32 KiB buffer is not re-made per document.
+func TestKeyPassSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	doc := []byte(`<a xmlns="urn:a" xmlns:p="urn:p"><p:b k="v" p:q="w">text &amp; ` +
+		strings.Repeat("more ", 2000) + `</p:b><c Id="c1"/><!-- note --></a>`)
+	w := &countWriter{}
+	pass := func() {
+		st, err := NewStream(w, Options{Exclusive: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := xmlstream.ParseBytes(doc, xmlstream.Options{}, st); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass()
+	if allocs := testing.AllocsPerRun(200, pass); allocs > 1 {
+		t.Fatalf("steady-state key pass allocates %.1f/op, want at most the Stream handle", allocs)
+	}
+}
+
 func feed(st *Stream, attrs []xmlstream.Attr, text []byte) {
 	st.StartElement("x", "el", attrs)
 	st.Text(text)

@@ -3,8 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,17 +11,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"discsec/internal/c14n"
 	"discsec/internal/health"
 	"discsec/internal/library"
 	"discsec/internal/obs"
 	"discsec/internal/resilience"
-	"discsec/internal/xmlstream"
 )
 
 // Edge is a thin verification node: it recomputes the canonical digest
-// of presented content in one streaming pass (no DOM, no crypto) and
-// serves the matching replicated verdict from its local record cache.
+// of presented content through the library's key front (no DOM, no
+// signature math) and serves the matching replicated verdict from its
+// local record cache.
 // Misses route through the consistent-hash ring to the key's owner —
 // so concurrent cold misses across the whole fleet collapse into one
 // origin verification — and fills ride a circuit breaker bound to the
@@ -355,44 +352,48 @@ func (e *Edge) RunHeartbeats(ctx context.Context, interval time.Duration) {
 	}
 }
 
-// OpenReader serves one content open at the edge: a single streaming
-// pass recomputes the exclusive-C14N digest (the library cache key)
-// while retaining the raw bytes for a possible fill, then the
-// replicated cache answers warm opens locally and misses route via
-// the ring to exactly one origin verification fleet-wide.
+// OpenReader serves one content open at the edge: the library's key
+// front reads the document once and recomputes the exclusive-C14N
+// digest (the library cache key) from the retained bytes — no DOM, no
+// signature math — then the replicated cache answers warm opens
+// locally and misses route via the ring to exactly one origin
+// verification fleet-wide.
 func (e *Edge) OpenReader(ctx context.Context, r io.Reader) (Record, Status, error) {
 	ctx, rec := e.obsContext(ctx)
 	defer rec.Start(obs.StageCluster).End()
 	if err := ctx.Err(); err != nil {
 		return Record{}, StatusMiss, err
 	}
-	key, body, err := e.digest(rec, r)
+	f, err := e.readFront(rec, r)
 	if err != nil {
 		return Record{}, StatusMiss, err
 	}
-	return e.open(ctx, rec, key, body, false)
+	rd, status, err := e.open(ctx, rec, f.Key, f.Raw, false)
+	releaseUnsent(&f, status)
+	return rd, status, err
 }
 
-// digest streams the document once: the canonicalizer computes the
-// cache key while a tee retains the raw bytes — no DOM is built and no
-// signature math runs on the edge.
-func (e *Edge) digest(rec *obs.Recorder, r io.Reader) (string, []byte, error) {
-	var buf bytes.Buffer
-	h := sha256.New()
-	st, err := c14n.NewStream(h, c14n.Options{Exclusive: true, Recorder: rec})
+// readFront runs the library key front over at most maxBody bytes.
+func (e *Edge) readFront(rec *obs.Recorder, r io.Reader) (library.Front, error) {
+	f, err := library.ReadFront(rec, io.LimitReader(r, e.maxBody+1))
 	if err != nil {
-		return "", nil, err
+		return library.Front{}, err
 	}
-	if err := xmlstream.Parse(io.TeeReader(io.LimitReader(r, e.maxBody+1), &buf), xmlstream.Options{}, st); err != nil {
-		return "", nil, fmt.Errorf("%w: %w", library.ErrBadDocument, err)
+	if int64(len(f.Raw)) > e.maxBody {
+		f.Release()
+		return library.Front{}, resilience.Terminal(fmt.Errorf("cluster: document exceeds the %d-byte limit", e.maxBody))
 	}
-	if err := st.Close(); err != nil {
-		return "", nil, fmt.Errorf("%w: %w", library.ErrBadDocument, err)
+	return f, nil
+}
+
+// releaseUnsent recycles a front's buffer when the open was a hit. Any
+// other outcome may have posted the bytes to a peer or the origin, and
+// an HTTP transport can still be reading a request body after the
+// exchange returns, so those buffers are left to the garbage collector.
+func releaseUnsent(f *library.Front, status Status) {
+	if status == StatusHit {
+		f.Release()
 	}
-	if int64(buf.Len()) > e.maxBody {
-		return "", nil, resilience.Terminal(fmt.Errorf("cluster: document exceeds the %d-byte limit", e.maxBody))
-	}
-	return hex.EncodeToString(h.Sum(nil)), buf.Bytes(), nil
 }
 
 // open is the keyed serve path shared by OpenReader and forwarded
@@ -606,13 +607,14 @@ func (e *Edge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (e *Edge) serveVerify(w http.ResponseWriter, r *http.Request) {
 	ctx, rec := e.obsContext(r.Context())
 	defer rec.Start(obs.StageCluster).End()
-	key, body, err := e.digest(rec, http.MaxBytesReader(w, r.Body, e.maxBody))
+	f, err := e.readFront(rec, http.MaxBytesReader(w, r.Body, e.maxBody))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	rec.Inc("cluster.forward_serve")
-	rd, status, err := e.open(ctx, rec, key, body, true)
+	rd, status, err := e.open(ctx, rec, f.Key, f.Raw, true)
+	releaseUnsent(&f, status)
 	if err != nil {
 		writeError(w, err)
 		return

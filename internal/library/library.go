@@ -29,17 +29,13 @@
 package library
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
 
-	"discsec/internal/c14n"
 	"discsec/internal/core"
 	"discsec/internal/cowmap"
 	"discsec/internal/disc"
@@ -47,7 +43,6 @@ import (
 	"discsec/internal/obs"
 	"discsec/internal/resilience"
 	"discsec/internal/xmldom"
-	"discsec/internal/xmlstream"
 )
 
 // Status classifies how one open was served.
@@ -292,99 +287,49 @@ func (l *Library) obsContext(ctx context.Context) (context.Context, *obs.Recorde
 	return obs.WithRecorder(ctx, l.rec), l.rec
 }
 
-// OpenReader verifies a cluster document streamed from r through the
-// shared cache, in a single cold-path pass: one tokenization drives
-// both the private DOM build (verification mutates it on a miss) and
-// the incremental exclusive-C14N digest that is the cache key — the
-// reader is consumed exactly once and never buffered whole.
-//
-// Because the input cannot be re-read, a fill that races a trust
-// invalidation fails closed with ErrTrustChanged instead of silently
-// re-verifying stale state; the caller retries with a fresh reader.
-// The byte-slice form, OpenDocument, re-parses and retries internally.
+// OpenReader verifies a cluster document read from r through the
+// shared cache. The reader is consumed once, into a pooled buffer, and
+// one tokenization of those bytes derives the exclusive-C14N cache key
+// (ReadFront): a hit is served from that pass alone, with no tree
+// built. A miss parses the buffered bytes for verification, and a fill
+// that races a trust invalidation re-parses them and verifies again,
+// exactly like the byte-slice form.
 func (l *Library) OpenReader(ctx context.Context, r io.Reader) (*Verdict, Status, error) {
 	ctx, rec := l.obsContext(ctx)
 	defer rec.Start(obs.StageLibrary).End()
 	if err := ctx.Err(); err != nil {
 		return nil, StatusMiss, err
 	}
-	doc, key, size, err := parseAndKey(rec, r)
+	f, err := ReadFront(rec, r)
 	if err != nil {
-		return nil, StatusMiss, fmt.Errorf("%w: %w", ErrBadDocument, err)
+		return nil, StatusMiss, err
 	}
-	return l.open(ctx, rec, key, doc, nil, size, nil)
+	defer f.Release()
+	return l.open(ctx, rec, f.Key, f.Raw, nil)
 }
 
 // OpenDocument verifies a raw cluster document through the shared
-// cache: one streaming parse+canonical-digest pass, cache lookup, and
-// on a miss one singleflight-deduplicated core verification whose
-// verdict is cached for every later caller. Unsigned documents are
-// processed but never cached (StatusBypass).
+// cache: one key pass over the bytes (KeyBytes), cache lookup, and on a
+// miss one singleflight-deduplicated core verification whose verdict is
+// cached for every later caller. Unsigned documents are processed but
+// never cached (StatusBypass).
 func (l *Library) OpenDocument(ctx context.Context, raw []byte) (*Verdict, Status, error) {
 	ctx, rec := l.obsContext(ctx)
 	defer rec.Start(obs.StageLibrary).End()
 	if err := ctx.Err(); err != nil {
 		return nil, StatusMiss, err
 	}
-	doc, key, size, err := parseAndKey(rec, bytes.NewReader(raw))
+	key, err := KeyBytes(rec, raw)
 	if err != nil {
 		return nil, StatusMiss, fmt.Errorf("%w: %w", ErrBadDocument, err)
 	}
-	reparse := func() (*xmldom.Document, error) { return reparseBytes(rec, raw) }
-	return l.open(ctx, rec, key, doc, reparse, size, nil)
+	return l.open(ctx, rec, key, raw, nil)
 }
 
-// parseAndKey is the single-pass cold front shared by every library
-// entry point: one hardened tokenization builds the private DOM while
-// the incremental canonicalizer digests the exclusive-C14N cache key,
-// collapsing the old parse-then-walk double pass. The key is
-// byte-identical to CanonicalKey over the same document.
-func parseAndKey(rec *obs.Recorder, r io.Reader) (*xmldom.Document, string, int64, error) {
-	sp := rec.Start(obs.StageParse)
-	defer sp.End()
-	cr := &countReader{r: r}
-	b := xmldom.NewStreamBuilder()
-	h := sha256.New()
-	st, err := c14n.NewStream(h, c14n.Options{Exclusive: true, Recorder: rec})
-	if err != nil {
-		return nil, "", 0, err
-	}
-	if err := xmlstream.Parse(cr, xmlstream.Options{}, b, st); err != nil {
-		return nil, "", 0, err
-	}
-	if err := st.Close(); err != nil {
-		return nil, "", 0, err
-	}
-	return b.Document(), hex.EncodeToString(h.Sum(nil)), cr.n, nil
-}
-
-// reparseBytes is the fill-retry parse for byte-backed opens.
-func reparseBytes(rec *obs.Recorder, raw []byte) (*xmldom.Document, error) {
-	sp := rec.Start(obs.StageParse)
-	defer sp.End()
-	return xmldom.ParseBytes(raw)
-}
-
-// countReader counts consumed bytes for verdict size accounting.
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// open serves one keyed request: lookup, then singleflight fill. The
-// parsed doc (when non-nil) is consumed by the fill — it must be a
-// private parse, since verification mutates it. reparse, when non-nil,
-// produces a fresh private parse for fill retries after a trust
-// invalidation; a nil reparse (one-shot reader input) makes such races
-// fail closed. resolver, when non-nil, dereferences detached URIs (the
-// mounted image).
-func (l *Library) open(ctx context.Context, rec *obs.Recorder, key string, doc *xmldom.Document, reparse func() (*xmldom.Document, error), size int64, resolver *disc.Image) (*Verdict, Status, error) {
+// open serves one keyed request: lookup, then singleflight fill of raw.
+// resolver, when non-nil, dereferences detached URIs (the mounted
+// image).
+func (l *Library) open(ctx context.Context, rec *obs.Recorder, key string, raw []byte, resolver *disc.Image) (*Verdict, Status, error) {
 	if v, ok := l.lookup(rec, key); ok {
 		rec.Inc("library.hit")
 		return v, StatusHit, nil
@@ -399,7 +344,7 @@ func (l *Library) open(ctx context.Context, rec *obs.Recorder, key string, doc *
 			return v, nil
 		}
 		status = StatusMiss
-		return l.fill(ctx, rec, key, doc, reparse, size, resolver)
+		return l.fill(ctx, rec, key, raw, int64(len(raw)), resolver)
 	})
 	if shared {
 		rec.Inc("library.singleflight_wait")
@@ -467,16 +412,16 @@ func (l *Library) signerEpochOf(fp string) *atomic.Uint64 {
 // so the warm lookup path never builds a closure.
 func newEpoch() *atomic.Uint64 { return new(atomic.Uint64) }
 
-// fill runs the real verification and caches the verdict. It captures
-// the invalidation generation first and retries (bounded) whenever an
-// invalidation landed while verifying, so a revocation can never race a
-// fill into caching a stale verdict: the retry re-parses via reparse
+// fill runs the real verification of raw and caches the verdict. Each
+// attempt parses raw into a private tree (verification mutates it). It
+// captures the invalidation generation first and retries (bounded)
+// whenever an invalidation landed while verifying, so a revocation can
+// never race a fill into caching a stale verdict: the retry re-parses
 // and re-resolves keys, and a now-revoked signer fails verification.
-// Without a reparse (one-shot reader input) a raced fill fails closed
-// with ErrTrustChanged immediately.
+// size is the verdict's byte-budget charge.
 //
 //discvet:coldpath a miss runs the full Fig. 9 verification; allocation is inherent
-func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, doc *xmldom.Document, reparse func() (*xmldom.Document, error), size int64, resolver *disc.Image) (*Verdict, error) {
+func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, raw []byte, size int64, resolver *disc.Image) (*Verdict, error) {
 	release, err := l.fillGate.Acquire(ctx)
 	if err != nil {
 		rec.Inc("library.fill_rejected")
@@ -493,22 +438,11 @@ func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, doc *
 		}
 		gen := l.invalGen.Load()
 
-		if doc == nil {
-			if reparse == nil {
-				// One-shot reader input raced a trust invalidation:
-				// the stream cannot be replayed, so fail closed like
-				// an exhausted retry. The caller may retry with a
-				// fresh reader.
-				return nil, ErrTrustChanged
-			}
-			d, err := reparse()
-			if err != nil {
-				return nil, fmt.Errorf("library: parse: %w", err)
-			}
-			doc = d
+		doc, err := parseDoc(rec, raw)
+		if err != nil {
+			return nil, fmt.Errorf("library: parse: %w", err)
 		}
 		res, err := op.OpenDocument(ctx, doc)
-		doc = nil // consumed (verification mutates it); retries re-parse
 		if err != nil {
 			if errors.Is(err, resilience.ErrCircuitOpen) {
 				// The trust service's breaker is open: nothing can be

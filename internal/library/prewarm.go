@@ -1,7 +1,6 @@
 package library
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -10,7 +9,6 @@ import (
 	"discsec/internal/core"
 	"discsec/internal/disc"
 	"discsec/internal/obs"
-	"discsec/internal/xmldom"
 )
 
 // mounted is one registered disc: an immutable snapshot of its index
@@ -130,18 +128,16 @@ func (l *Library) Mounts() []string {
 // hit — with no parse or canonicalization; that is the whole point of
 // mounting.
 func (l *Library) openMounted(ctx context.Context, rec *obs.Recorder, m *mounted) (*Verdict, Status, error) {
-	reparse := func() (*xmldom.Document, error) { return reparseBytes(rec, m.raw) }
-	if k, ok := m.key.Load().(string); ok && k != "" {
-		return l.open(ctx, rec, k, nil, reparse, int64(len(m.raw)), m.im)
+	key, ok := m.key.Load().(string)
+	if !ok || key == "" {
+		// First touch: one key pass over the snapshot.
+		var err error
+		if key, err = KeyBytes(rec, m.raw); err != nil {
+			return nil, StatusMiss, fmt.Errorf("parse index: %w", err)
+		}
+		m.key.Store(key)
 	}
-	// First touch: one streaming pass over the snapshot builds the
-	// fill's private parse and learns the canonical key.
-	doc, key, size, err := parseAndKey(rec, bytes.NewReader(m.raw))
-	if err != nil {
-		return nil, StatusMiss, fmt.Errorf("parse index: %w", err)
-	}
-	m.key.Store(key)
-	return l.open(ctx, rec, key, doc, reparse, size, m.im)
+	return l.open(ctx, rec, key, m.raw, m.im)
 }
 
 // OpenDisc returns the verified verdict for a mounted disc's index: the

@@ -107,9 +107,11 @@ func (e *Engine) Load(ctx context.Context, im *disc.Image) (*Session, error) {
 }
 
 // LoadFrom opens a bare cluster document streamed from r (a downloaded
-// application body, a request body, an open file): the single-pass
-// streaming verification path. The reader is consumed exactly once and
-// never buffered whole.
+// application body, a request body, an open file). The reader is
+// consumed exactly once. Without a shared library this is the
+// single-pass streaming verification path and the document is never
+// buffered whole; with one, the library's key front reads it into a
+// pooled buffer so a cache hit needs no further parse.
 func (e *Engine) LoadFrom(ctx context.Context, r io.Reader) (*Session, error) {
 	ctx, rec := e.obsContext(ctx)
 	sp := rec.Start(obs.StageLoad)

@@ -105,13 +105,13 @@ type verifyResponse struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
-// serveVerify handles POST /verify: the request body is streamed
-// straight into the verification library — tokenizer, canonicalizer,
-// and digest run as the bytes arrive, never buffering the whole
-// document — and the verdict comes back as JSON with the usual
-// X-Library-* headers. Malformed documents are the client's fault
-// (400); a trust invalidation racing the one-shot body is answered
-// 503 + Retry-After so the client simply re-POSTs.
+// serveVerify handles POST /verify: the request body goes straight
+// into the verification library's key front — read once into a pooled
+// buffer, one tokenization derives the cache key, a hit builds no
+// tree — and the verdict comes back as JSON with the usual X-Library-*
+// headers. Malformed documents are the client's fault (400); trust
+// invalidations that keep racing the fill past its retries are
+// answered 503 + Retry-After so the client simply re-POSTs.
 func (cs *ContentServer) serveVerify(w http.ResponseWriter, r *http.Request) {
 	if cs.library == nil {
 		cs.recorder.Inc("http.notfound")
@@ -167,8 +167,8 @@ func (cs *ContentServer) libraryError(w http.ResponseWriter, r *http.Request, er
 		cs.recorder.Inc("http.library.baddocument")
 		http.Error(w, "malformed document", http.StatusBadRequest)
 	case errors.Is(err, library.ErrTrustChanged):
-		// A trust invalidation raced a one-shot reader fill; the input
-		// cannot be replayed server-side, but the client can re-POST.
+		// Trust invalidations kept racing the fill past its retries;
+		// the verdict was discarded, and the client can re-POST.
 		cs.recorder.Inc("http.library.trustchanged")
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "trust changed during verification; retry", http.StatusServiceUnavailable)

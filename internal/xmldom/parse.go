@@ -1,7 +1,6 @@
 package xmldom
 
 import (
-	"bytes"
 	"io"
 	"strings"
 
@@ -10,11 +9,6 @@ import (
 
 // ParseOptions controls document parsing.
 type ParseOptions struct {
-	// AllowDoctype permits a document type declaration. Doctype
-	// declarations are rejected by default: the XML security processing
-	// model treats DTDs (entity expansion, default attributes) as an
-	// attack surface.
-	AllowDoctype bool
 	// MaxDepth bounds element nesting; 0 means the default of 512.
 	MaxDepth int
 	// MaxTokens bounds the total token count; 0 means the default of
@@ -22,9 +16,9 @@ type ParseOptions struct {
 	MaxTokens int
 }
 
-// ErrDoctype is returned when a document contains a DOCTYPE declaration
-// and ParseOptions.AllowDoctype is false. It is the xmlstream sentinel:
-// the tokenizer under this parser is where the rejection happens.
+// ErrDoctype is returned when a document contains a DOCTYPE
+// declaration; there is no opt-in. It is the xmlstream sentinel: the
+// tokenizer under this parser is where the rejection happens.
 var ErrDoctype = xmlstream.ErrDoctype
 
 // Parse reads an XML document with default options.
@@ -38,9 +32,13 @@ func ParseString(s string) (*Document, error) {
 }
 
 // ParseBytes parses an XML document from a byte slice with default
-// options.
+// options, scanning the slice in place.
 func ParseBytes(b []byte) (*Document, error) {
-	return Parse(bytes.NewReader(b))
+	builder := NewStreamBuilder()
+	if err := xmlstream.ParseBytes(b, xmlstream.Options{}, builder); err != nil {
+		return nil, err
+	}
+	return builder.Document(), nil
 }
 
 // ParseWithOptions reads an XML document through the hardened streaming
@@ -52,11 +50,7 @@ func ParseBytes(b []byte) (*Document, error) {
 // over the same input see the identical token stream.
 func ParseWithOptions(r io.Reader, opts ParseOptions) (*Document, error) {
 	b := NewStreamBuilder()
-	err := xmlstream.Parse(r, xmlstream.Options{
-		AllowDoctype: opts.AllowDoctype,
-		MaxDepth:     opts.MaxDepth,
-		MaxTokens:    opts.MaxTokens,
-	}, b)
+	err := xmlstream.Parse(r, xmlstream.Options{MaxDepth: opts.MaxDepth, MaxTokens: opts.MaxTokens}, b)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package xmldom
 
 import (
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -83,15 +85,17 @@ func TestParseCommentsAndPIs(t *testing.T) {
 
 func TestParseRejectsDoctype(t *testing.T) {
 	_, err := ParseString(`<!DOCTYPE r [<!ENTITY x "y">]><r>&x;</r>`)
-	if err == nil {
-		t.Fatal("expected doctype rejection")
+	if !errors.Is(err, ErrDoctype) {
+		t.Fatalf("err = %v, want ErrDoctype", err)
 	}
 }
 
+// TestParseAllowDoctype: there is no way to allow a doctype any more;
+// even a bare declaration through ParseWithOptions is ErrDoctype.
 func TestParseAllowDoctype(t *testing.T) {
-	_, err := ParseWithOptions(strings.NewReader(`<!DOCTYPE r><r/>`), ParseOptions{AllowDoctype: true})
-	if err != nil {
-		t.Fatalf("AllowDoctype parse: %v", err)
+	_, err := ParseWithOptions(strings.NewReader(`<!DOCTYPE r><r/>`), ParseOptions{})
+	if !errors.Is(err, ErrDoctype) {
+		t.Fatalf("err = %v, want ErrDoctype", err)
 	}
 }
 
@@ -139,6 +143,30 @@ func TestParseCRLFNormalization(t *testing.T) {
 	want := "line1\nline2\nline3"
 	if got := doc.Root().Text(); got != want {
 		t.Errorf("text = %q, want %q", got, want)
+	}
+}
+
+// TestParseManyTextChunksLinear: a text node delivered as 100 000
+// chunks (50 000 text/CDATA pairs) must cost allocation linear in the
+// input, not the quadratic re-copying of appending each chunk to a
+// string.
+func TestParseManyTextChunksLinear(t *testing.T) {
+	in := "<r>" + strings.Repeat("a<![CDATA[b]]>", 50000) + "</r>"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	doc, err := ParseString(in)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := doc.Root().Text(), strings.Repeat("ab", 50000); got != want {
+		t.Fatalf("merged text has %d bytes, want %d", len(got), len(want))
+	}
+	if len(doc.Root().Children) != 1 {
+		t.Fatalf("root has %d children, want one merged text node", len(doc.Root().Children))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16*uint64(len(in)) {
+		t.Errorf("parsing %d bytes allocated %d bytes; text merging is not linear", len(in), alloc)
 	}
 }
 

@@ -1,15 +1,24 @@
 // Package xmlstream is the module's single hardened XML tokenizer: a
-// SAX-style streaming parser over io.Reader that feeds handlers one
-// token at a time, never materializing the document.
+// SAX-style streaming parser that feeds handlers one token at a time,
+// never materializing the document.
 //
 // It exists so the cold verification path can be a single pass — the
 // same token stream that builds a DOM (xmldom.StreamBuilder) can
 // simultaneously drive incremental canonicalization and digesting
 // (c14n.Stream), which is how the verification library computes its
-// cache key without a second tree walk. Because xmldom's tree parser is
-// itself built on this package, streaming and DOM pipelines agree on
-// accept/reject verdicts by construction; the differential fuzz targets
-// pin that property.
+// cache key without building a tree at all. Because xmldom's tree
+// parser is itself built on this package, streaming and DOM pipelines
+// agree on accept/reject verdicts by construction; the differential
+// fuzz targets pin that property.
+//
+// The tokenizer is a byte-level scanner (scan.go) over a pooled read
+// window, or directly over a resident byte slice (ParseBytes). It
+// accepts exactly the grammar the system needs — elements, attributes,
+// character data, CDATA sections, comments, processing instructions,
+// the five predefined entities and character references — and rejects
+// every document type declaration. A reference tokenizer built on
+// encoding/xml lives in the package tests; FuzzTokenizerDifferential
+// holds the two to the same accept/reject verdicts and token streams.
 //
 // The hardening the XML security processing model requires lives here,
 // below every consumer: DOCTYPE rejection (entity expansion, default
@@ -22,7 +31,6 @@ package xmlstream
 
 import (
 	"bytes"
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
@@ -31,15 +39,13 @@ import (
 
 // Options controls parsing limits.
 type Options struct {
-	// AllowDoctype permits a document type declaration. Doctype
-	// declarations are rejected by default: the XML security processing
-	// model treats DTDs (entity expansion, default attributes) as an
-	// attack surface.
-	AllowDoctype bool
 	// MaxDepth bounds element nesting; 0 means the default of 512.
 	MaxDepth int
 	// MaxTokens bounds the total token count; 0 means the default of
-	// 4 * 1024 * 1024.
+	// 4 * 1024 * 1024. A character-data run, a CDATA section, a
+	// comment, a processing instruction (the XML declaration
+	// included), and each start and end tag count one token; an empty
+	// element tag counts two.
 	MaxTokens int
 }
 
@@ -48,8 +54,10 @@ const (
 	defaultMaxTokens = 4 << 20
 )
 
-// ErrDoctype is returned when a document contains a DOCTYPE declaration
-// and Options.AllowDoctype is false.
+// ErrDoctype is returned when a document contains a document type
+// declaration. The XML security processing model treats DTDs (entity
+// expansion, default attributes) as an attack surface, so they are
+// always rejected.
 var ErrDoctype = errors.New("xmlstream: document type declarations are not allowed")
 
 // Attr is one attribute exactly as written: prefix split from local
@@ -85,13 +93,16 @@ func (a Attr) DeclaredPrefix() string {
 
 // Handler receives the token stream. The attrs slice and byte payloads
 // are reused between calls and are only valid for the duration of the
-// call; a handler that retains them must copy.
+// call; a handler that retains them must copy. Names and attribute
+// values are ordinary strings and may be kept.
 //
-// Character data inside the root element may arrive chunked (around
-// CDATA boundaries and entity references): consecutive Text calls are
-// one logical text node. Whitespace-only character data outside the
-// document element is dropped by the parser, as are the XML
-// declaration and (permitted) DOCTYPE declarations.
+// Character data inside the root element may arrive in chunks — at
+// CDATA boundaries, and anywhere inside a long run — so consecutive
+// Text calls are one logical text node. Every run of character data
+// and every CDATA section produces at least one Text call (an empty
+// CDATA section produces one empty call). Whitespace-only character
+// data outside the document element is dropped by the parser, as is
+// the XML declaration.
 type Handler interface {
 	StartElement(prefix, local string, attrs []Attr) error
 	EndElement(prefix, local string) error
@@ -105,165 +116,243 @@ type name struct {
 	prefix, local string
 }
 
-// parser holds the pooled per-parse state: the open-element stack and
-// the attribute scratch buffer handed to handlers.
-type parser struct {
-	stack []name
-	attrs []Attr
-}
-
 var parserPool = sync.Pool{New: newParser}
 
 // newParser is the pool's first-touch factory: a declared function so
 // Parse never builds a closure.
 func newParser() any {
-	return &parser{stack: make([]name, 0, 32), attrs: make([]Attr, 0, 16)}
+	return &parser{
+		stack: make([]name, 0, 32),
+		attrs: make([]Attr, 0, 16),
+	}
 }
 
 // Parse tokenizes one XML document from r, feeding every token to each
-// handler in order. It enforces the well-formedness the raw tokenizer
-// does not (matching end tags, single document element, no duplicate
-// attributes) plus the security limits in opts, and returns the first
-// error from the tokenizer, the limits, or a handler.
+// handler in order. It enforces well-formedness (matching end tags,
+// single document element, no duplicate attributes) plus the security
+// limits in opts, and returns the first error from the input, the
+// grammar, the limits, or a handler. Read errors are wrapped, so
+// errors.Is and errors.As reach them.
 //
-//discvet:hotpath per-token dispatch of the streaming verification pipeline; stack and attribute buffers are pooled, allocation only on error paths
+//discvet:hotpath per-token dispatch of the streaming verification pipeline; window, stack and attribute buffers are pooled, allocation only on error paths
 func Parse(r io.Reader, opts Options, handlers ...Handler) error {
-	maxDepth := opts.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = defaultMaxDepth
-	}
-	maxTokens := opts.MaxTokens
-	if maxTokens <= 0 {
-		maxTokens = defaultMaxTokens
-	}
+	return parseReader(r, opts, minRead, handlers)
+}
 
-	dec := xml.NewDecoder(r)
-	dec.Strict = true
-
-	p := parserPool.Get().(*parser)
-	p.stack = p.stack[:0]
+// parseReader is Parse with an explicit minimum read size; the tests
+// shrink it to one byte so tokens straddle window refills.
+func parseReader(r io.Reader, opts Options, least int, handlers []Handler) error {
+	p := getParser(opts, handlers)
 	defer putParser(p)
+	p.r = r
+	p.buf = p.window
+	p.least = least
+	return p.run()
+}
 
-	tokens := 0
-	sawRoot := false
+// ParseBytes tokenizes a resident document. It is Parse without the
+// read window: the scanner works on data in place, and character data
+// that needs no unescaping reaches handlers as subslices of data.
+//
+//discvet:hotpath the key front scans every warm open through here
+func ParseBytes(data []byte, opts Options, handlers ...Handler) error {
+	p := getParser(opts, handlers)
+	defer putParser(p)
+	p.buf, p.end, p.eof = data, len(data), true
+	return p.run()
+}
 
+func getParser(opts Options, handlers []Handler) *parser {
+	p := parserPool.Get().(*parser)
+	p.maxDepth = opts.MaxDepth
+	if p.maxDepth <= 0 {
+		p.maxDepth = defaultMaxDepth
+	}
+	p.maxTokens = opts.MaxTokens
+	if p.maxTokens <= 0 {
+		p.maxTokens = defaultMaxTokens
+	}
+	// Copying the handlers keeps the caller's variadic slice off the
+	// heap.
+	p.handlers = append(p.handlers[:0], handlers...)
+	p.stack = p.stack[:0]
+	p.pos, p.end, p.base, p.eof = 0, 0, 0, false
+	p.tokens, p.sawRoot = 0, false
+	return p
+}
+
+// maxPooled and maxPooledAttrs bound the scratch a parser keeps across
+// documents: a buffer grown past them by one huge construct (or one
+// element with a huge attribute list) is dropped rather than pinned in
+// the pool.
+const (
+	maxPooled      = 1 << 20
+	maxPooledAttrs = 1 << 10
+)
+
+//discvet:coldpath pool return is once per document
+func putParser(p *parser) {
+	p.r, p.buf = nil, nil
+	clear(p.handlers)
+	p.handlers = p.handlers[:0]
+	if cap(p.window) > maxPooled {
+		p.window = nil
+	}
+	if cap(p.text) > maxPooled {
+		p.text = nil
+	}
+	if cap(p.val) > maxPooled {
+		p.val = nil
+	}
+	if cap(p.attrs) > maxPooledAttrs {
+		p.attrs = make([]Attr, 0, 16)
+	}
+	parserPool.Put(p)
+}
+
+// run is the token loop: character data until the next '<', markup
+// from there, until the input ends.
+func (p *parser) run() error {
 	for {
-		tok, err := dec.RawToken()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return errParse(err)
-		}
-		tokens++
-		if tokens > maxTokens {
-			return errTokenLimit(maxTokens)
-		}
-
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if len(p.stack) == 0 && sawRoot {
-				return errMultipleRoots()
-			}
-			if len(p.stack) >= maxDepth {
-				return errDepthLimit(maxDepth)
-			}
-			p.attrs = p.attrs[:0]
-			for _, a := range t.Attr {
-				p.attrs = append(p.attrs, Attr{Prefix: a.Name.Space, Local: a.Name.Local, Value: a.Value})
-			}
-			if err := checkDuplicateAttrs(p.attrs, t.Name); err != nil {
+		if p.pos == p.end {
+			ok, err := p.more()
+			if err != nil {
 				return err
 			}
-			p.stack = append(p.stack, name{prefix: t.Name.Space, local: t.Name.Local})
-			sawRoot = true
-			for _, h := range handlers {
-				if err := h.StartElement(t.Name.Space, t.Name.Local, p.attrs); err != nil {
-					return err
-				}
+			if !ok {
+				break
 			}
-
-		case xml.EndElement:
-			if len(p.stack) == 0 {
-				return errUnexpectedEnd(t.Name)
-			}
-			top := p.stack[len(p.stack)-1]
-			if top.prefix != t.Name.Space || top.local != t.Name.Local {
-				return errEndMismatch(t.Name, top)
-			}
-			p.stack = p.stack[:len(p.stack)-1]
-			for _, h := range handlers {
-				if err := h.EndElement(t.Name.Space, t.Name.Local); err != nil {
-					return err
-				}
-			}
-
-		case xml.CharData:
-			if len(p.stack) == 0 {
-				if len(bytes.TrimSpace(t)) > 0 {
-					return errStrayCharData()
-				}
-				continue
-			}
-			for _, h := range handlers {
-				if err := h.Text(t); err != nil {
-					return err
-				}
-			}
-
-		case xml.Comment:
-			for _, h := range handlers {
-				if err := h.Comment(t); err != nil {
-					return err
-				}
-			}
-
-		case xml.ProcInst:
-			if t.Target == "xml" {
-				// The XML declaration is not part of the data model.
-				continue
-			}
-			for _, h := range handlers {
-				if err := h.ProcInst(t.Target, t.Inst); err != nil {
-					return err
-				}
-			}
-
-		case xml.Directive:
-			if !opts.AllowDoctype {
-				return ErrDoctype
-			}
-			// Permitted doctypes are not part of the token stream.
+		}
+		var err error
+		if p.buf[p.pos] == '<' {
+			err = p.markup()
+		} else {
+			err = p.chars(false)
+		}
+		if err != nil {
+			return err
 		}
 	}
-
 	if len(p.stack) != 0 {
-		return errUnclosed(p.stack[len(p.stack)-1])
+		top := p.stack[len(p.stack)-1]
+		return errUnclosed(top.prefix, top.local)
 	}
-	if !sawRoot {
+	if !p.sawRoot {
 		return errNoRoot()
 	}
 	return nil
 }
 
-// checkDuplicateAttrs rejects repeated attribute names, which the raw
-// tokenizer does not police. The common small-attribute case is a
-// quadratic scan over the pooled buffer (no allocation); pathological
-// attribute counts fall back to a map so adversarial inputs stay
-// linear.
+// token counts one token against the limit.
+func (p *parser) token() error {
+	p.tokens++
+	if p.tokens > p.maxTokens {
+		return errTokenLimit(p.maxTokens)
+	}
+	return nil
+}
+
+// startElement applies the document-level checks to a scanned start
+// tag (its attributes are in p.attrs) and dispatches it.
+func (p *parser) startElement(prefix, local string) error {
+	if err := p.token(); err != nil {
+		return err
+	}
+	if len(p.stack) == 0 && p.sawRoot {
+		return errMultipleRoots()
+	}
+	if len(p.stack) >= p.maxDepth {
+		return errDepthLimit(p.maxDepth)
+	}
+	if err := checkDuplicateAttrs(p.attrs, prefix, local); err != nil {
+		return err
+	}
+	p.stack = append(p.stack, name{prefix: prefix, local: local})
+	p.sawRoot = true
+	for _, h := range p.handlers {
+		if err := h.StartElement(prefix, local, p.attrs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// endElement matches an end tag (or the implicit end of an empty
+// element tag) against the open element and dispatches it.
+func (p *parser) endElement(prefix, local string) error {
+	if err := p.token(); err != nil {
+		return err
+	}
+	if len(p.stack) == 0 {
+		return errUnexpectedEnd(prefix, local)
+	}
+	top := p.stack[len(p.stack)-1]
+	if top.prefix != prefix || top.local != local {
+		return errEndMismatch(prefix, local, top)
+	}
+	p.stack = p.stack[:len(p.stack)-1]
+	for _, h := range p.handlers {
+		if err := h.EndElement(prefix, local); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// emitText hands one chunk of character data to the handlers. Outside
+// the document element only whitespace is allowed, and it is dropped.
+// Chunks always end on a rune boundary, so checking them one at a time
+// is checking the run.
+func (p *parser) emitText(data []byte) error {
+	if len(p.stack) == 0 {
+		if len(bytes.TrimSpace(data)) > 0 {
+			return errStrayCharData()
+		}
+		return nil
+	}
+	for _, h := range p.handlers {
+		if err := h.Text(data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (p *parser) emitComment(data []byte) error {
+	for _, h := range p.handlers {
+		if err := h.Comment(data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (p *parser) emitProcInst(target string, data []byte) error {
+	for _, h := range p.handlers {
+		if err := h.ProcInst(target, data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkDuplicateAttrs rejects repeated attribute names. The common
+// small-attribute case is a quadratic scan over the pooled buffer (no
+// allocation); pathological attribute counts fall back to a map so
+// adversarial inputs stay linear.
 //
 //discvet:hotpath runs on every start tag; must not allocate for ordinary elements
-func checkDuplicateAttrs(attrs []Attr, el xml.Name) error {
+func checkDuplicateAttrs(attrs []Attr, prefix, local string) error {
 	if len(attrs) < 2 {
 		return nil
 	}
 	if len(attrs) > 16 {
-		return checkDuplicateAttrsLarge(attrs, el)
+		return checkDuplicateAttrsLarge(attrs, prefix, local)
 	}
 	for i := 1; i < len(attrs); i++ {
 		for j := 0; j < i; j++ {
 			if attrs[i].Prefix == attrs[j].Prefix && attrs[i].Local == attrs[j].Local {
-				return errDuplicateAttr(attrs[i], el)
+				return errDuplicateAttr(attrs[i], prefix, local)
 			}
 		}
 	}
@@ -271,28 +360,28 @@ func checkDuplicateAttrs(attrs []Attr, el xml.Name) error {
 }
 
 //discvet:coldpath rare wide elements; the map keeps hostile attribute lists linear
-func checkDuplicateAttrsLarge(attrs []Attr, el xml.Name) error {
+func checkDuplicateAttrsLarge(attrs []Attr, prefix, local string) error {
 	seen := make(map[Attr]struct{}, len(attrs))
 	for _, a := range attrs {
 		k := Attr{Prefix: a.Prefix, Local: a.Local}
 		if _, dup := seen[k]; dup {
-			return errDuplicateAttr(a, el)
+			return errDuplicateAttr(a, prefix, local)
 		}
 		seen[k] = struct{}{}
 	}
 	return nil
 }
 
-//discvet:coldpath pool return is once per document
-func putParser(p *parser) {
-	parserPool.Put(p)
-}
-
 // Error constructors live off the hot path: the per-token loop only
 // calls them when the parse is already failing.
 
 //discvet:coldpath error path
-func errParse(err error) error { return fmt.Errorf("xmlstream: parse: %w", err) }
+func errRead(err error) error { return fmt.Errorf("xmlstream: parse: %w", err) }
+
+//discvet:coldpath error path
+func errSyntax(offset int64, msg string) error {
+	return fmt.Errorf("xmlstream: parse: syntax error at byte %d: %s", offset, msg)
+}
 
 //discvet:coldpath error path
 func errTokenLimit(n int) error { return fmt.Errorf("xmlstream: parse: token limit %d exceeded", n) }
@@ -314,36 +403,28 @@ func errStrayCharData() error {
 func errNoRoot() error { return errors.New("xmlstream: parse: no document element") }
 
 //discvet:coldpath error path
-func errUnexpectedEnd(n xml.Name) error {
-	return fmt.Errorf("xmlstream: parse: unexpected end tag </%s>", rawName(n))
+func errUnexpectedEnd(prefix, local string) error {
+	return fmt.Errorf("xmlstream: parse: unexpected end tag </%s>", rawName(prefix, local))
 }
 
 //discvet:coldpath error path
-func errEndMismatch(n xml.Name, top name) error {
-	open := top.local
-	if top.prefix != "" {
-		open = top.prefix + ":" + top.local
-	}
-	return fmt.Errorf("xmlstream: parse: end tag </%s> does not match <%s>", rawName(n), open)
+func errEndMismatch(prefix, local string, top name) error {
+	return fmt.Errorf("xmlstream: parse: end tag </%s> does not match <%s>", rawName(prefix, local), rawName(top.prefix, top.local))
 }
 
 //discvet:coldpath error path
-func errUnclosed(top name) error {
-	open := top.local
-	if top.prefix != "" {
-		open = top.prefix + ":" + top.local
-	}
-	return fmt.Errorf("xmlstream: parse: unclosed element <%s>", open)
+func errUnclosed(prefix, local string) error {
+	return fmt.Errorf("xmlstream: parse: unclosed element <%s>", rawName(prefix, local))
 }
 
 //discvet:coldpath error path
-func errDuplicateAttr(a Attr, el xml.Name) error {
-	return fmt.Errorf("xmlstream: parse: duplicate attribute %q on <%s>", a.Name(), rawName(el))
+func errDuplicateAttr(a Attr, prefix, local string) error {
+	return fmt.Errorf("xmlstream: parse: duplicate attribute %q on <%s>", a.Name(), rawName(prefix, local))
 }
 
-func rawName(n xml.Name) string {
-	if n.Space == "" {
-		return n.Local
+func rawName(prefix, local string) string {
+	if prefix == "" {
+		return local
 	}
-	return n.Space + ":" + n.Local
+	return prefix + ":" + local
 }
