@@ -65,11 +65,13 @@ chaos:
 		./internal/keymgmt/ ./internal/library/ ./internal/server/ ./internal/player/
 
 # Differential fuzz smoke, 15 s per target: the byte-level scanner
-# against the encoding/xml reference tokenizer, the streaming
-# canonicalizer against the tree walker, and the streaming digest
-# against the DOM pipeline (see DESIGN.md §14).
+# against the encoding/xml reference tokenizer, the canonicalizer core
+# (DOM walk, every subset apex) and its token-fed form against the
+# reference tree walker, and the streaming digest against the DOM
+# pipeline (see DESIGN.md §14).
 fuzz-smoke:
 	$(GO) test ./internal/xmlstream -run '^$$' -fuzz '^FuzzTokenizerDifferential$$' -fuzztime 15s
+	$(GO) test ./internal/c14n -run '^$$' -fuzz '^FuzzCanonicalize$$' -fuzztime 15s
 	$(GO) test ./internal/c14n -run '^$$' -fuzz '^FuzzStreamDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/xmldsig -run '^$$' -fuzz '^FuzzDigestDifferential$$' -fuzztime 15s
 

@@ -252,8 +252,6 @@ func BenchmarkC14N(b *testing.B) {
 			{"inclusive", c14n.Options{}},
 			{"exclusive", c14n.Options{Exclusive: true}},
 			{"inclusive-comments", c14n.Options{WithComments: true}},
-			{"inclusive-reference-ns", c14n.Options{ReferenceNamespaceResolution: true}},
-			{"exclusive-reference-ns", c14n.Options{Exclusive: true, ReferenceNamespaceResolution: true}},
 		} {
 			b.Run(fmt.Sprintf("%s/size=%d", mode.name, size), func(b *testing.B) {
 				b.SetBytes(int64(size))

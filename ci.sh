@@ -40,6 +40,7 @@ go test -race ./...
 go test -race ./internal/analysis/...
 make faults
 make chaos
+# Four differential fuzz targets, 15 s each (see the Makefile).
 make fuzz-smoke
 make metrics
 make library-bench

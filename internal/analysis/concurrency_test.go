@@ -178,7 +178,7 @@ func TestProductionHotPathAnnotated(t *testing.T) {
 	wantHot := []string{
 		"library.Library.lookup", "library.Library.entryValid",
 		"library.Library.signerEpochOf", "library.Library.shardFor", "library.shard.get",
-		"c14n.writeText", "c14n.writeAttrValue",
+		"c14n.appendText", "c14n.appendAttrValue", "c14n.Stream.walk",
 		"obs.Recorder.Add", "obs.Recorder.Inc", "obs.Recorder.Observe",
 		"obs.Recorder.Start", "obs.Span.End",
 		"cowmap.Map.Get", "cowmap.Map.GetOrCreate",

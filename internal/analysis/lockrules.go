@@ -130,9 +130,9 @@ var blockingSinks = []FuncRef{
 	{Pkg: "net/http", Name: "ListenAndServe"},
 	// Deliberate sleeps (retry backoff).
 	{Pkg: "time", Name: "Sleep"},
-	// Module-local waits: the library's singleflight blocks every
-	// waiter until the fill completes, and a resilience policy sleeps
-	// between attempts.
-	{Pkg: pkgLibrary, Recv: "flightGroup", Name: "do"},
+	// Module-local waits: the shared singleflight (library fills and
+	// edge fills) blocks every waiter until the fill completes, and a
+	// resilience policy sleeps between attempts.
+	{Pkg: modulePath + "/internal/flight", Recv: "Group", Name: "Do"},
 	{Pkg: pkgResilience, Recv: "Policy", Name: "Do"},
 }

@@ -326,9 +326,10 @@ func TestCanonicalizeDocumentNoRoot(t *testing.T) {
 	}
 }
 
-// Differential property: the memoized namespace-scope strategy and the
-// reference ancestor-walk strategy produce byte-identical canonical
-// forms on generated documents with varied namespace structure.
+// Differential property: the core and the reference tree walker produce
+// byte-identical canonical forms on generated documents with varied
+// namespace structure, for the whole document and for every element as
+// a subset apex.
 func TestNamespaceStrategyDifferentialProperty(t *testing.T) {
 	build := func(seed uint32) *xmldom.Document {
 		// Deterministic doc with nested, shadowed, and cancelled
@@ -381,39 +382,49 @@ func TestNamespaceStrategyDifferentialProperty(t *testing.T) {
 	}
 	for seed := uint32(0); seed < 40; seed++ {
 		doc := build(seed)
-		for _, base := range []Options{{}, {Exclusive: true}, {WithComments: true}} {
-			ref := base
-			ref.ReferenceNamespaceResolution = true
-			fast, err1 := CanonicalizeDocument(doc, base)
-			slow, err2 := CanonicalizeDocument(doc, ref)
+		for _, opts := range []Options{{}, {Exclusive: true}, {WithComments: true}} {
+			got, err1 := CanonicalizeDocument(doc, opts)
+			want, err2 := oracleCanonicalizeDocument(doc, opts)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("seed %d: %v / %v", seed, err1, err2)
 			}
-			if !bytes.Equal(fast, slow) {
-				t.Fatalf("seed %d opts %+v diverged:\nmemoized:  %s\nreference: %s", seed, base, fast, slow)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d opts %+v diverged:\ncore:   %s\noracle: %s", seed, opts, got, want)
+			}
+			for _, apex := range append([]*xmldom.Element{doc.Root()}, doc.Root().Descendants()...) {
+				checkAgainstOracle(t, apex, nil, opts)
 			}
 		}
 	}
 }
 
-// The same differential check on a subtree apex (inherited namespaces).
+// The same differential check on a subtree apex (inherited namespaces
+// and xml:* attributes), with and without an excluded descendant.
 func TestNamespaceStrategyDifferentialSubtree(t *testing.T) {
 	doc, err := xmldom.ParseString(`<root xmlns="urn:d" xmlns:p="urn:p" xml:lang="en"><p:mid xmlns:q="urn:q"><leaf q:x="1"><p:deep/></leaf></p:mid></root>`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mid := doc.Root().FirstChildElement("mid")
-	for _, base := range []Options{{}, {Exclusive: true}, {Exclusive: true, InclusivePrefixes: []string{"p", "#default"}}} {
-		ref := base
-		ref.ReferenceNamespaceResolution = true
-		fast, err1 := Canonicalize(mid, base)
-		slow, err2 := Canonicalize(mid, ref)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%+v: %v / %v", base, err1, err2)
+	leaf := mid.FirstChildElement("leaf")
+	for _, opts := range []Options{{}, {Exclusive: true}, {Exclusive: true, InclusivePrefixes: []string{"p", "#default"}}} {
+		for _, excluded := range []*xmldom.Element{nil, leaf, leaf.FirstChildElement("deep")} {
+			checkAgainstOracle(t, mid, excluded, opts)
 		}
-		if !bytes.Equal(fast, slow) {
-			t.Fatalf("opts %+v diverged:\nmemoized:  %s\nreference: %s", base, fast, slow)
-		}
+	}
+}
+
+// checkAgainstOracle fails the test unless CanonicalizeExcept and the
+// reference walker agree on the subset at apex without excluded.
+func checkAgainstOracle(t testing.TB, apex, excluded *xmldom.Element, opts Options) {
+	t.Helper()
+	got, err1 := CanonicalizeExcept(apex, excluded, opts)
+	want, err2 := oracleCanonicalizeExcept(apex, excluded, opts)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("apex <%s> opts %+v: %v / %v", apex.Name(), opts, err1, err2)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("apex <%s> opts %+v diverged:\ncore:   %q\noracle: %q", apex.Name(), opts, got, want)
 	}
 }
 

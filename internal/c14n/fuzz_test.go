@@ -9,8 +9,10 @@ import (
 )
 
 // FuzzCanonicalize checks, for any parseable input, that
-// canonicalization never panics, is idempotent, and that the memoized
-// and reference namespace strategies agree byte-for-byte.
+// canonicalization never panics, is idempotent, and agrees byte for byte
+// with the reference tree walker in every mode ByURI names plus an
+// exclusive PrefixList — for the whole document and for every element
+// as a subset apex, with and without its first child element excluded.
 func FuzzCanonicalize(f *testing.F) {
 	seeds := []string{
 		`<r/>`,
@@ -35,10 +37,18 @@ func FuzzCanonicalize(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, opts := range []Options{{}, {Exclusive: true}, {WithComments: true}} {
+		apexes := append([]*xmldom.Element{doc.Root()}, doc.Root().Descendants()...)
+		for _, opts := range fuzzModes {
 			c1, err := CanonicalizeDocument(doc, opts)
 			if err != nil {
-				continue // malformed comments/PIs may be unserializable
+				t.Fatalf("canonicalize (opts %+v): %v", opts, err)
+			}
+			want, err := oracleCanonicalizeDocument(doc, opts)
+			if err != nil {
+				t.Fatalf("oracle (opts %+v): %v", opts, err)
+			}
+			if !bytes.Equal(c1, want) {
+				t.Fatalf("core and oracle diverged (opts %+v):\ncore:   %q\noracle: %q", opts, c1, want)
 			}
 			// Idempotence.
 			doc2, err := xmldom.ParseBytes(c1)
@@ -52,16 +62,21 @@ func FuzzCanonicalize(f *testing.F) {
 			if !bytes.Equal(c1, c2) {
 				t.Fatalf("not idempotent (opts %+v):\n1: %q\n2: %q", opts, c1, c2)
 			}
-			// Strategy agreement.
-			ref := opts
-			ref.ReferenceNamespaceResolution = true
-			c3, err := CanonicalizeDocument(doc, ref)
-			if err != nil {
-				t.Fatalf("reference strategy: %v", err)
-			}
-			if !bytes.Equal(c1, c3) {
-				t.Fatalf("strategies diverged (opts %+v):\nmemoized:  %q\nreference: %q", opts, c1, c3)
+			for _, apex := range apexes {
+				checkAgainstOracle(t, apex, nil, opts)
+				if first := apex.FirstChildElement(""); first != nil {
+					checkAgainstOracle(t, apex, first, opts)
+				}
 			}
 		}
 	})
+}
+
+// fuzzModes are the four ByURI algorithms plus an exclusive PrefixList.
+var fuzzModes = []Options{
+	{},
+	{WithComments: true},
+	{Exclusive: true},
+	{Exclusive: true, WithComments: true},
+	{Exclusive: true, InclusivePrefixes: []string{"p", "x", "#default"}},
 }

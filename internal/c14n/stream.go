@@ -1,7 +1,6 @@
 package c14n
 
 import (
-	"fmt"
 	"io"
 	"sync"
 
@@ -10,19 +9,17 @@ import (
 	"discsec/internal/xmlstream"
 )
 
-// Stream is an incremental exclusive canonicalizer: an
-// xmlstream.Handler that writes the canonical form of a whole document
-// to w as tokens arrive, in one pass, holding only the open-element
-// namespace context — never the tree. Feeding it the token stream of a
-// document produces byte-identical output to
-// CanonicalizeDocument(doc, opts); the differential fuzz targets pin
-// that equivalence.
+// Stream is the canonicalizer: an xmlstream.Handler that writes the
+// canonical form to w as events arrive, in one pass, holding only the
+// open-element namespace context — never the tree. Every mode runs
+// here: fed a document's token stream it canonicalizes the document,
+// and Canonicalize, CanonicalizeExcept and CanonicalizeDocument feed it
+// a DOM walk. The differential tests pin it against the reference tree
+// walker in oracle_test.go.
 //
-// Only exclusive canonicalization streams: inclusive C14N of a
-// document subset imports the apex's ancestor context, which a forward
-// pass does not have. For whole documents the apex has no ancestors,
-// but the library and signature cache keys are exclusive-C14N digests,
-// so that is the mode the streaming cold path needs.
+// A document subset (an apex element with ancestors) inherits context
+// a forward pass never sees; the DOM entry points seed it before the
+// walk. A token stream is always a whole document, with no ancestors.
 //
 // A Stream is single-use and not safe for concurrent use. Call Close
 // after the parse to flush buffered output.
@@ -55,6 +52,10 @@ type scratch struct {
 	rendered      []nsBinding
 	renderedMarks []int
 
+	// inherited holds the xml:lang, xml:space and xml:base an inclusive
+	// subset apex imports from its nearest ancestors.
+	inherited []xmlstream.Attr
+
 	// Per-element scratch, reused across elements.
 	utilized []string
 	nsOut    []nsBinding
@@ -85,6 +86,8 @@ func (sc *scratch) release() {
 	sc.utilized = sc.utilized[:0]
 	clear(sc.attrOut[:cap(sc.attrOut)])
 	sc.attrOut = sc.attrOut[:0]
+	clear(sc.inherited[:cap(sc.inherited)])
+	sc.inherited = sc.inherited[:0]
 }
 
 func clearBindings(b []nsBinding) []nsBinding {
@@ -107,20 +110,20 @@ type attrEntry struct {
 // to the underlying writer.
 const streamFlushAt = 32 << 10
 
-// NewStream builds a streaming canonicalizer writing to w. The options
-// must select exclusive canonicalization; WithComments and
-// InclusivePrefixes are honored. When opts.Recorder is set, one
-// obs.StageC14N span covers NewStream through Close.
+// NewStream builds a streaming canonicalizer writing to w. When
+// opts.Recorder is set, one obs.StageC14N span covers NewStream through
+// Close. The error is always nil.
 func NewStream(w io.Writer, opts Options) (*Stream, error) {
-	if !opts.Exclusive {
-		return nil, fmt.Errorf("c14n: streaming canonicalization supports exclusive mode only")
-	}
+	return newStream(w, opts), nil
+}
+
+func newStream(w io.Writer, opts Options) *Stream {
 	return &Stream{
 		w:       w,
 		opts:    opts,
 		sp:      opts.Recorder.Start(obs.StageC14N),
 		scratch: scratchPool.Get().(*scratch),
-	}, nil
+	}
 }
 
 // Close flushes buffered canonical bytes, ends the span, and returns
@@ -145,7 +148,9 @@ func (s *Stream) Close() error {
 //
 //discvet:hotpath per-token canonicalization of every streamed verification; scratch buffers are struct fields, reused
 func (s *Stream) StartElement(prefix, local string, attrs []xmlstream.Attr) error {
-	s.scopeMarks = append(s.scopeMarks, len(s.scope))
+	apex := s.depth == 0
+	mark := len(s.scope)
+	s.scopeMarks = append(s.scopeMarks, mark)
 	s.renderedMarks = append(s.renderedMarks, len(s.rendered))
 	for _, a := range attrs {
 		if a.IsNamespaceDecl() {
@@ -153,24 +158,40 @@ func (s *Stream) StartElement(prefix, local string, attrs []xmlstream.Attr) erro
 		}
 	}
 
-	// Visibly utilized prefixes: the element's own plus those of its
-	// non-namespace attributes, plus the InclusiveNamespaces PrefixList.
-	s.utilized = appendUnique(s.utilized[:0], prefix)
-	for _, a := range attrs {
-		if !a.IsNamespaceDecl() && a.Prefix != "" {
-			s.utilized = appendUnique(s.utilized, a.Prefix)
+	// Candidate prefixes. Exclusive: the visibly utilized ones — the
+	// element's own, those of its non-namespace attributes, and the
+	// InclusiveNamespaces PrefixList. Inclusive: every in-scope prefix
+	// at the apex; below it the element's own declarations, since every
+	// other binding equals the parent's.
+	s.utilized = s.utilized[:0]
+	switch {
+	case s.opts.Exclusive:
+		s.utilized = append(s.utilized, prefix)
+		for _, a := range attrs {
+			if !a.IsNamespaceDecl() && a.Prefix != "" {
+				s.utilized = appendUnique(s.utilized, a.Prefix)
+			}
 		}
-	}
-	for _, p := range s.opts.InclusivePrefixes {
-		if p == "#default" {
-			s.utilized = appendUnique(s.utilized, "")
-		} else {
+		for _, p := range s.opts.InclusivePrefixes {
+			if p == "#default" {
+				p = ""
+			}
 			s.utilized = appendUnique(s.utilized, p)
+		}
+	case apex:
+		for _, b := range s.scope {
+			s.utilized = appendUnique(s.utilized, b.prefix)
+		}
+	default:
+		for _, b := range s.scope[mark:] {
+			s.utilized = append(s.utilized, b.prefix)
 		}
 	}
 
-	// Emit each utilized binding unless an output ancestor already
-	// rendered the identical one (the exclusive-C14N rule).
+	// Emit each candidate binding unless an output ancestor already
+	// rendered the identical one. In inclusive mode the rendered
+	// context below the apex is the parent's scope, so this renders
+	// exactly the declarations that differ from it.
 	s.nsOut = s.nsOut[:0]
 	for _, p := range s.utilized {
 		uri := lookupBinding(s.scope, p)
@@ -186,7 +207,7 @@ func (s *Stream) StartElement(prefix, local string, attrs []xmlstream.Attr) erro
 			}
 			continue
 		}
-		if uri == "" {
+		if uri == "" && s.opts.Exclusive {
 			// Unbound non-default prefix: nothing to declare.
 			continue
 		}
@@ -204,6 +225,13 @@ func (s *Stream) StartElement(prefix, local string, attrs []xmlstream.Attr) erro
 			continue
 		}
 		s.attrOut = append(s.attrOut, attrEntry{uri: s.attrNS(a), prefix: a.Prefix, local: a.Local, value: a.Value})
+	}
+	if apex {
+		for _, a := range s.inherited {
+			if !hasXMLAttr(attrs, a.Local) {
+				s.attrOut = append(s.attrOut, attrEntry{uri: xmldom.XMLNamespace, prefix: a.Prefix, local: a.Local, value: a.Value})
+			}
+		}
 	}
 	sortAttrEntries(s.attrOut)
 
@@ -256,12 +284,23 @@ func (s *Stream) EndElement(prefix, local string) error {
 // Text implements xmlstream.Handler. Chunked character data escapes
 // identically to the merged text node: the canonical escaping is
 // byte-local.
+func (s *Stream) Text(data []byte) error { return text(s, data) }
+
+// Comment implements xmlstream.Handler, honoring WithComments and the
+// top-level newline placement of the recommendation.
+func (s *Stream) Comment(data []byte) error { return comment(s, data) }
+
+// ProcInst implements xmlstream.Handler.
+func (s *Stream) ProcInst(target string, data []byte) error { return procInst(s, target, data) }
+
+// text, comment and procInst take token bytes and DOM strings alike, so
+// neither is copied on the way to the escapers.
 //
 //discvet:hotpath character data dominates clip payloads; must not allocate per chunk
-func (s *Stream) Text(data []byte) error {
+func text[T string | []byte](s *Stream, data T) error {
 	if s.depth == 0 {
 		// Whitespace between top-level constructs is not part of the
-		// canonical form (the tree walker never sees it either).
+		// canonical form.
 		return nil
 	}
 	s.buf = appendText(s.buf, data)
@@ -269,9 +308,7 @@ func (s *Stream) Text(data []byte) error {
 	return s.err
 }
 
-// Comment implements xmlstream.Handler, honoring WithComments and the
-// top-level newline placement of the recommendation.
-func (s *Stream) Comment(data []byte) error {
+func comment[T string | []byte](s *Stream, data T) error {
 	if !s.opts.WithComments {
 		return nil
 	}
@@ -288,8 +325,7 @@ func (s *Stream) Comment(data []byte) error {
 	return s.err
 }
 
-// ProcInst implements xmlstream.Handler.
-func (s *Stream) ProcInst(target string, data []byte) error {
+func procInst[T string | []byte](s *Stream, target string, data T) error {
 	if s.depth == 0 && s.seenRoot {
 		s.buf = append(s.buf, '\n')
 	}
@@ -365,6 +401,18 @@ func lookupBindingOK(stack []nsBinding, prefix string) (string, bool) {
 	return "", false
 }
 
+// hasXMLAttr reports whether attrs carries xml:local.
+//
+//discvet:hotpath inherited xml:* attributes at a subset apex
+func hasXMLAttr(attrs []xmlstream.Attr, local string) bool {
+	for _, a := range attrs {
+		if a.Prefix == "xml" && a.Local == local {
+			return true
+		}
+	}
+	return false
+}
+
 //discvet:hotpath utilized-prefix dedup on every start tag
 func appendUnique(list []string, s string) []string {
 	for _, have := range list {
@@ -389,8 +437,7 @@ func sortBindings(b []nsBinding) {
 }
 
 // sortAttrEntries is a stable in-place insertion sort by (uri, local):
-// equal keys keep document order, matching the tree walker's
-// sort.SliceStable.
+// equal keys keep document order.
 //
 //discvet:hotpath attribute ordering on every start tag
 func sortAttrEntries(a []attrEntry) {
@@ -418,11 +465,10 @@ func appendQName(dst []byte, prefix, local string) []byte {
 	return append(dst, local...)
 }
 
-// appendText escapes character data per the canonical form (& < > CR),
-// the byte-slice twin of writeText.
+// appendText escapes character data per the canonical form: & < > CR.
 //
-//discvet:hotpath inner loop of every streamed digest; must not allocate per byte
-func appendText(dst, s []byte) []byte {
+//discvet:hotpath inner loop of every digest canonicalization; must not allocate per byte
+func appendText[T string | []byte](dst []byte, s T) []byte {
 	last := 0
 	for i := 0; i < len(s); i++ {
 		var rep string
@@ -445,8 +491,8 @@ func appendText(dst, s []byte) []byte {
 	return append(dst, s[last:]...)
 }
 
-// appendAttrValue escapes attribute values per the canonical form
-// (& < " TAB LF CR), the byte-slice twin of writeAttrValue.
+// appendAttrValue escapes attribute values per the canonical form:
+// & < " TAB LF CR.
 //
 //discvet:hotpath attribute rendering on every start tag
 func appendAttrValue(dst []byte, s string) []byte {

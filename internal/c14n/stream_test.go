@@ -27,7 +27,7 @@ func streamCanonical(data []byte, opts Options) ([]byte, error) {
 }
 
 // streamDiffCases are documents exercising every namespace and escaping
-// rule the exclusive canonicalizer implements.
+// rule the canonicalizer implements.
 var streamDiffCases = []struct {
 	name string
 	doc  string
@@ -53,53 +53,62 @@ var streamDiffCases = []struct {
 	{"top-level-pi-comment", `<?before b?><!--pre--><a/><!--post--><?after a?>`},
 	{"whitespace-outside", "\n  <a/>  \n"},
 	{"empty-vs-open", `<a></a>`},
+	{"undeclare-prefix", `<a xmlns:x="urn:x"><b xmlns:x=""><c x:k="v"/></b></a>`},
+	{"xml-ns-declared", `<a xmlns:xml="http://www.w3.org/XML/1998/namespace" xml:lang="en"/>`},
 	{"mixed", `<s:doc xmlns:s="urn:sig" xmlns:o="urn:o" id="r"><s:part o:x="1">v</s:part><o:tail/></s:doc>`},
 }
 
-// TestStreamMatchesTreeWalker pins the tentpole property: the
-// incremental canonicalizer produces byte-identical output to
-// CanonicalizeDocument for every case, in every exclusive mode.
+// streamModes are the option sets the token-stream differential covers:
+// the exclusive modes the cache keys use and the two inclusive modes.
+var streamModes = []struct {
+	name string
+	opts Options
+}{
+	{"excl", Options{Exclusive: true}},
+	{"excl-comments", Options{Exclusive: true, WithComments: true}},
+	{"excl-inclusive-prefixes", Options{Exclusive: true, InclusivePrefixes: []string{"x", "#default"}}},
+	{"incl", Options{}},
+	{"incl-comments", Options{WithComments: true}},
+}
+
+// TestStreamMatchesTreeWalker pins that feeding the tokenizer's events
+// to the core produces byte-identical output to the reference tree
+// walker and to the DOM walk, for every case in every mode.
 func TestStreamMatchesTreeWalker(t *testing.T) {
-	modes := []struct {
-		name string
-		opts Options
-	}{
-		{"excl", Options{Exclusive: true}},
-		{"excl-comments", Options{Exclusive: true, WithComments: true}},
-		{"excl-inclusive-prefixes", Options{Exclusive: true, InclusivePrefixes: []string{"x", "#default"}}},
-	}
 	for _, tc := range streamDiffCases {
-		for _, m := range modes {
+		for _, m := range streamModes {
 			t.Run(tc.name+"/"+m.name, func(t *testing.T) {
 				doc, err := xmldom.ParseString(tc.doc)
 				if err != nil {
 					t.Fatalf("parse: %v", err)
 				}
-				want, err := CanonicalizeDocument(doc, m.opts)
-				if err != nil {
-					t.Fatalf("tree canonicalize: %v", err)
-				}
 				got, err := streamCanonical([]byte(tc.doc), m.opts)
 				if err != nil {
 					t.Fatalf("stream canonicalize: %v", err)
 				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("stream diverges from tree walker:\n tree:   %q\n stream: %q", want, got)
-				}
+				checkStreamAgainstTree(t, doc, got, m.opts)
 			})
 		}
 	}
 }
 
-// TestStreamRejectsInclusive pins the mode restriction: the forward
-// pass cannot import an apex ancestor context, so inclusive options
-// must be refused loudly instead of producing wrong bytes.
-func TestStreamRejectsInclusive(t *testing.T) {
-	if _, err := NewStream(&bytes.Buffer{}, Options{}); err == nil {
-		t.Fatal("NewStream accepted inclusive options")
+// checkStreamAgainstTree compares the token-stream canonical form of a
+// document with the reference walker's and the DOM walk's.
+func checkStreamAgainstTree(t *testing.T, doc *xmldom.Document, got []byte, opts Options) {
+	t.Helper()
+	want, err := oracleCanonicalizeDocument(doc, opts)
+	if err != nil {
+		t.Fatalf("oracle canonicalize: %v", err)
 	}
-	if _, err := NewStream(&bytes.Buffer{}, Options{WithComments: true}); err == nil {
-		t.Fatal("NewStream accepted inclusive with-comments options")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("stream diverges from tree walker (opts %+v):\n tree:   %q\n stream: %q", opts, want, got)
+	}
+	dom, err := CanonicalizeDocument(doc, opts)
+	if err != nil {
+		t.Fatalf("DOM canonicalize: %v", err)
+	}
+	if !bytes.Equal(got, dom) {
+		t.Fatalf("stream diverges from DOM walk (opts %+v):\n dom:    %q\n stream: %q", opts, dom, got)
 	}
 }
 
@@ -204,8 +213,8 @@ func (c *countWriter) Write(p []byte) (int, error) {
 
 // FuzzStreamDifferential is the streaming-vs-DOM agreement fuzz target:
 // any input the parser accepts must canonicalize to the same bytes
-// through the tree walker and the incremental stream, with and without
-// comments.
+// through the tokenizer-fed core, the reference tree walker and the DOM
+// walk, in the exclusive and the inclusive modes.
 func FuzzStreamDifferential(f *testing.F) {
 	for _, tc := range streamDiffCases {
 		f.Add([]byte(tc.doc))
@@ -215,11 +224,8 @@ func FuzzStreamDifferential(f *testing.F) {
 	f.Add([]byte(`<!DOCTYPE a [<!ENTITY e "v">]><a>&e;</a>`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, err := xmldom.ParseBytes(data)
-		for _, opts := range []Options{
-			{Exclusive: true},
-			{Exclusive: true, WithComments: true},
-		} {
-			got, serr := streamCanonical(data, opts)
+		for _, m := range streamModes {
+			got, serr := streamCanonical(data, m.opts)
 			if err != nil {
 				if serr == nil {
 					t.Fatalf("DOM parse rejected input but stream accepted it: %v", err)
@@ -229,15 +235,7 @@ func FuzzStreamDifferential(f *testing.F) {
 			if serr != nil {
 				t.Fatalf("DOM parse accepted input but stream rejected it: %v", serr)
 			}
-			want, werr := CanonicalizeDocument(doc, opts)
-			if werr != nil {
-				// The only tree-walker failure mode is a rootless
-				// document, which the parser already rejects.
-				t.Fatalf("tree canonicalize failed on parsed doc: %v", werr)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("canonical divergence (opts %+v):\n tree:   %q\n stream: %q", opts, want, got)
-			}
+			checkStreamAgainstTree(t, doc, got, m.opts)
 		}
 	})
 }

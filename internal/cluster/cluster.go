@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"discsec/internal/library"
 	"discsec/internal/resilience"
@@ -133,43 +132,4 @@ func classifyExchange(url string, resp *http.Response) error {
 		return resilience.Transient(fmt.Errorf("cluster: POST %s: %s", url, resp.Status))
 	}
 	return resilience.Terminal(fmt.Errorf("cluster: POST %s: %s", url, resp.Status))
-}
-
-// flightCall is one in-flight fill shared by concurrent callers.
-type flightCall struct {
-	done chan struct{}
-	rd   Record
-	err  error
-}
-
-// flightGroup is a minimal singleflight over Records: concurrent
-// misses for the same digest on one edge share one fill. The zero
-// value is ready to use.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flightCall
-}
-
-// do runs fn once per key among concurrent callers; shared reports
-// whether this caller joined an execution another caller led.
-func (g *flightGroup) do(key string, fn func() (Record, error)) (rd Record, err error, shared bool) {
-	g.mu.Lock()
-	if g.m == nil {
-		g.m = make(map[string]*flightCall)
-	}
-	if c, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		<-c.done
-		return c.rd, c.err, true
-	}
-	c := &flightCall{done: make(chan struct{})}
-	g.m[key] = c
-	g.mu.Unlock()
-
-	c.rd, c.err = fn()
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(c.done)
-	return c.rd, c.err, false
 }

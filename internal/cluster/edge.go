@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"discsec/internal/flight"
 	"discsec/internal/health"
 	"discsec/internal/library"
 	"discsec/internal/obs"
@@ -48,7 +49,7 @@ type Edge struct {
 	records map[string]Record
 	peers   map[string]string
 
-	flights flightGroup
+	flights flight.Group[Record]
 }
 
 // EdgeOption configures an Edge.
@@ -411,7 +412,7 @@ func (e *Edge) open(ctx context.Context, rec *obs.Recorder, key string, body []b
 		return Record{}, StatusMiss, e.failPartitioned(rec, key, "cold fill")
 	}
 	status := StatusMiss
-	rd, err, shared := e.flights.do(key, func() (Record, error) {
+	rd, err, shared := e.flights.Do(key, func() (Record, error) {
 		// Double-check under flight leadership: a push or a racing
 		// fill may have landed since the first lookup.
 		if rd, ok, lerr := e.lookup(rec, key); lerr != nil {

@@ -1,4 +1,4 @@
-package library
+package flight
 
 import (
 	"errors"
@@ -8,23 +8,23 @@ import (
 	"time"
 )
 
-// TestFlightGroupSharesOneExecution drives the wait path
+// TestGroupSharesOneExecution drives the wait path
 // deterministically: the leader blocks inside fn until 63 waiters have
 // registered on the in-flight call, so the sharing semantics do not
 // depend on scheduler parallelism (GOMAXPROCS=1 runs goroutines
 // sequentially and would otherwise never produce a waiter).
-func TestFlightGroupSharesOneExecution(t *testing.T) {
-	g := &flightGroup{}
+func TestGroupSharesOneExecution(t *testing.T) {
+	g := &Group[*verdict]{}
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	want := &Verdict{Key: "k"}
+	want := &verdict{key: "k"}
 	var executions atomic.Int32
 
 	var leaderDone sync.WaitGroup
 	leaderDone.Add(1)
 	go func() {
 		defer leaderDone.Done()
-		v, err, shared := g.do("k", func() (*Verdict, error) {
+		v, err, shared := g.Do("k", func() (*verdict, error) {
 			executions.Add(1)
 			close(entered)
 			<-release
@@ -43,7 +43,7 @@ func TestFlightGroupSharesOneExecution(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func() {
 			defer done.Done()
-			v, err, shared := g.do("k", func() (*Verdict, error) {
+			v, err, shared := g.Do("k", func() (*verdict, error) {
 				executions.Add(1)
 				return nil, errors.New("waiter executed the fill")
 			})
@@ -86,3 +86,6 @@ func TestFlightGroupSharesOneExecution(t *testing.T) {
 		t.Fatalf("%d calls left registered after completion", left)
 	}
 }
+
+// verdict stands in for a shared result; the test compares pointers.
+type verdict struct{ key string }

@@ -39,6 +39,7 @@ import (
 	"discsec/internal/core"
 	"discsec/internal/cowmap"
 	"discsec/internal/disc"
+	"discsec/internal/flight"
 	"discsec/internal/keymgmt"
 	"discsec/internal/obs"
 	"discsec/internal/resilience"
@@ -120,7 +121,7 @@ type Library struct {
 	degraded func() bool
 
 	shards  []*shard
-	flights flightGroup
+	flights flight.Group[*Verdict]
 
 	// globalEpoch versions the whole cache; bumping it invalidates
 	// every entry lazily (InvalidateAll).
@@ -335,7 +336,7 @@ func (l *Library) open(ctx context.Context, rec *obs.Recorder, key string, raw [
 		return v, StatusHit, nil
 	}
 	var status Status
-	v, err, shared := l.flights.do(key, func() (*Verdict, error) {
+	v, err, shared := l.flights.Do(key, func() (*Verdict, error) {
 		// Double-check under flight leadership: a racing fill may have
 		// landed between our lookup and taking the flight.
 		if v, ok := l.lookup(rec, key); ok {

@@ -48,10 +48,7 @@ func (b *StreamBuilder) StartElement(prefix, local string, attrs []xmlstream.Att
 	b.closeText()
 	e := &Element{Prefix: prefix, Local: local}
 	if len(attrs) > 0 {
-		e.Attrs = make([]Attr, len(attrs))
-		for i, a := range attrs {
-			e.Attrs[i] = Attr{Prefix: a.Prefix, Local: a.Local, Value: a.Value}
-		}
+		e.Attrs = append([]Attr(nil), attrs...)
 	}
 	if len(b.stack) == 0 {
 		b.doc.Children = append(b.doc.Children, e)

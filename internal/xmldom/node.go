@@ -15,6 +15,8 @@ package xmldom
 import (
 	"fmt"
 	"strings"
+
+	"discsec/internal/xmlstream"
 )
 
 // Well-known namespace URIs used throughout the security stack.
@@ -68,41 +70,10 @@ type Node interface {
 	CloneNode() Node
 }
 
-// Attr is a single attribute. Namespace declarations (xmlns and xmlns:*)
-// are stored as ordinary attributes; helpers on Element distinguish them.
-type Attr struct {
-	// Prefix is the namespace prefix ("ds" in ds:Id), empty when the
-	// attribute name has no prefix.
-	Prefix string
-	// Local is the local part of the attribute name.
-	Local string
-	// Value is the attribute value after entity expansion.
-	Value string
-}
-
-// Name returns the lexical attribute name (prefix:local or local).
-func (a Attr) Name() string {
-	if a.Prefix == "" {
-		return a.Local
-	}
-	return a.Prefix + ":" + a.Local
-}
-
-// IsNamespaceDecl reports whether the attribute declares a namespace
-// (xmlns="..." or xmlns:p="...").
-func (a Attr) IsNamespaceDecl() bool {
-	return (a.Prefix == "" && a.Local == "xmlns") || a.Prefix == "xmlns"
-}
-
-// DeclaredPrefix returns the prefix a namespace declaration binds: "" for
-// the default namespace declaration, the prefix for xmlns:p. It must only
-// be called when IsNamespaceDecl is true.
-func (a Attr) DeclaredPrefix() string {
-	if a.Prefix == "xmlns" {
-		return a.Local
-	}
-	return ""
-}
+// Attr is a single attribute, the tokenizer's own type: namespace
+// declarations (xmlns and xmlns:*) are stored as ordinary attributes,
+// and its IsNamespaceDecl and DeclaredPrefix methods tell them apart.
+type Attr = xmlstream.Attr
 
 // Document is the root of a parsed XML document. Children holds the
 // document element along with any top-level comments and processing

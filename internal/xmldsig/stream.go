@@ -13,8 +13,8 @@ import (
 // incremental canonicalizer, which feeds the hash — no DOM, no
 // canonical byte buffer, constant memory regardless of document size.
 //
-// The canonicalization options must be exclusive (see c14n.NewStream).
-// The result is byte-identical to hashing
+// Any canonicalization mode streams: a whole document has no ancestor
+// context to import. The result is byte-identical to hashing
 // c14n.CanonicalizeDocument(xmldom.Parse(r), c14nOpts): this is the
 // digest the verification library keys its cache on, which is why the
 // streaming cold path can share verdicts with the DOM path.

@@ -11,12 +11,14 @@ import (
 )
 
 // refData is the intermediate value flowing through a Reference's
-// transform chain: either an XML node-set (a subtree apex) or an octet
+// transform chain: either an XML node-set (a subtree apex, less the
+// Signature the enveloped-signature transform removed) or an octet
 // stream.
 type refData struct {
-	node   *xmldom.Element
-	octets []byte
-	isNode bool
+	node    *xmldom.Element
+	without *xmldom.Element
+	octets  []byte
+	isNode  bool
 }
 
 func nodeData(e *xmldom.Element) refData { return refData{node: e, isNode: true} }
@@ -94,7 +96,7 @@ func applyTransforms(data refData, chain []transformSpec, sigEl *xmldom.Element,
 		}
 	}
 	if cur.isNode {
-		return c14n.Canonicalize(cur.node, c14n.Options{Recorder: rec})
+		return c14n.CanonicalizeExcept(cur.node, cur.without, c14n.Options{Recorder: rec})
 	}
 	return cur.octets, nil
 }
@@ -105,11 +107,18 @@ func applyTransform(data refData, tr transformSpec, sigEl *xmldom.Element, rec *
 		if !data.isNode {
 			return refData{}, errors.New("xmldsig: enveloped-signature transform requires a node-set")
 		}
-		stripped, err := removeSignature(data.node, sigEl)
-		if err != nil {
-			return refData{}, err
+		switch {
+		case sigEl == nil:
+			return refData{}, errors.New("xmldsig: enveloped-signature transform outside signature validation")
+		case data.node == sigEl:
+			return refData{}, errors.New("xmldsig: enveloped-signature transform cannot target the signature itself")
+		case data.without != nil || !elementContains(data.node, sigEl):
+			// A second enveloped transform finds the Signature already
+			// gone from the node-set.
+			return refData{}, errors.New("xmldsig: enveloped signature is not a descendant of the referenced element")
 		}
-		return nodeData(stripped), nil
+		data.without = sigEl
+		return data, nil
 
 	case xmlsecuri.C14N10, xmlsecuri.C14N10WithComments, xmlsecuri.ExcC14N, xmlsecuri.ExcC14NWithComments:
 		opts, err := c14n.ByURI(tr.algorithm)
@@ -118,17 +127,14 @@ func applyTransform(data refData, tr transformSpec, sigEl *xmldom.Element, rec *
 		}
 		opts.InclusivePrefixes = tr.inclusivePrefixes
 		opts.Recorder = rec
-		var in *xmldom.Element
-		if data.isNode {
-			in = data.node
-		} else {
+		if !data.isNode {
 			doc, err := xmldom.ParseBytes(data.octets)
 			if err != nil {
 				return refData{}, fmt.Errorf("xmldsig: c14n transform over octets: %w", err)
 			}
-			in = doc.Root()
+			data = nodeData(doc.Root())
 		}
-		out, err := c14n.Canonicalize(in, opts)
+		out, err := c14n.CanonicalizeExcept(data.node, data.without, opts)
 		if err != nil {
 			return refData{}, err
 		}
@@ -158,76 +164,6 @@ func applyTransform(data refData, tr transformSpec, sigEl *xmldom.Element, rec *
 	default:
 		return refData{}, fmt.Errorf("%w: transform %q", ErrUnsupportedAlgorithm, tr.algorithm)
 	}
-}
-
-// removeSignature returns a deep copy of the subtree rooted at apex with
-// the given Signature element removed. The signature must lie within the
-// subtree (the definition of an enveloped signature).
-func removeSignature(apex, sigEl *xmldom.Element) (*xmldom.Element, error) {
-	if sigEl == nil {
-		return nil, errors.New("xmldsig: enveloped-signature transform outside signature validation")
-	}
-	if apex == sigEl {
-		return nil, errors.New("xmldsig: enveloped-signature transform cannot target the signature itself")
-	}
-	path, ok := pathFromAncestor(apex, sigEl)
-	if !ok {
-		return nil, errors.New("xmldsig: enveloped signature is not a descendant of the referenced element")
-	}
-	clone := cloneInContext(apex)
-	cur := clone
-	for _, idx := range path[:len(path)-1] {
-		cur = cur.Children[idx].(*xmldom.Element)
-	}
-	last := path[len(path)-1]
-	target := cur.Children[last]
-	if !cur.RemoveChild(target) {
-		return nil, errors.New("xmldsig: internal: failed to remove cloned signature")
-	}
-	return clone, nil
-}
-
-// pathFromAncestor returns the child-index path from ancestor down to
-// descendant.
-func pathFromAncestor(ancestor, descendant *xmldom.Element) ([]int, bool) {
-	var rev []int
-	cur := descendant
-	for cur != nil && cur != ancestor {
-		p := cur.ParentElement()
-		if p == nil {
-			return nil, false
-		}
-		idx := p.ChildIndex(cur)
-		if idx < 0 {
-			return nil, false
-		}
-		rev = append(rev, idx)
-		cur = p
-	}
-	if cur != ancestor {
-		return nil, false
-	}
-	// Reverse.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, true
-}
-
-// cloneInContext deep-copies the subtree at apex and grafts the clone
-// under lightweight copies of its ancestors so namespace declarations and
-// inheritable xml:* attributes remain resolvable, without copying sibling
-// subtrees.
-func cloneInContext(apex *xmldom.Element) *xmldom.Element {
-	clone := apex.Clone()
-	child := clone
-	for anc := apex.ParentElement(); anc != nil; anc = anc.ParentElement() {
-		shell := &xmldom.Element{Prefix: anc.Prefix, Local: anc.Local}
-		shell.Attrs = append([]xmldom.Attr(nil), anc.Attrs...)
-		shell.AppendChild(child)
-		child = shell
-	}
-	return clone
 }
 
 // Processing limits guarding verification against maliciously shaped

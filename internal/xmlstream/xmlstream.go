@@ -63,9 +63,14 @@ var ErrDoctype = errors.New("xmlstream: document type declarations are not allow
 // Attr is one attribute exactly as written: prefix split from local
 // name, namespace declarations included.
 type Attr struct {
+	// Prefix is the namespace prefix ("ds" in ds:Id), empty when the
+	// name has none.
 	Prefix string
-	Local  string
-	Value  string
+	// Local is the local part of the name.
+	Local string
+	// Value is the value after entity and character reference
+	// expansion.
+	Value string
 }
 
 // Name renders the attribute name as written.
