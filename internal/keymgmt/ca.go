@@ -140,8 +140,9 @@ type Identity struct {
 	Name string
 	Key  crypto.Signer
 	Cert *x509.Certificate
-	// Chain holds the DER certificates from the leaf up to (but not
-	// including) the root, for embedding in signatures.
+	// Chain holds the DER certificates to embed in signatures: the
+	// leaf, then the issuing CA's certificate. For an identity issued
+	// by a root, that second certificate is the root itself.
 	Chain [][]byte
 }
 

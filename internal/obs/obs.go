@@ -47,7 +47,8 @@ const (
 	// StageDigest covers one reference validation (dereference,
 	// transforms, hash, compare).
 	StageDigest = "digest"
-	// StageSignature covers cryptographic SignatureValue validation.
+	// StageSignature covers key resolution (KeyInfo, chain validation)
+	// and SignatureValue validation.
 	StageSignature = "signature"
 	// StageDecrypt covers one EncryptedData decryption.
 	StageDecrypt = "decrypt"

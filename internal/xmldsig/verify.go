@@ -53,8 +53,8 @@ type VerifyOptions struct {
 	// algorithms a verifier accepts (algorithm-agility hardening).
 	AcceptedSignatureMethods []string
 	// Recorder, when non-nil, receives per-reference digest spans
-	// (obs.StageDigest), SignatureValue validation spans
-	// (obs.StageSignature), and the c14n spans beneath both.
+	// (obs.StageDigest), key resolution and SignatureValue validation
+	// spans (obs.StageSignature), and the c14n spans beneath them.
 	Recorder *obs.Recorder
 }
 
@@ -205,6 +205,7 @@ func Verify(doc *xmldom.Document, sig *xmldom.Element, opts VerifyOptions) (*Ver
 		return nil, fmt.Errorf("xmldsig: SignatureValue: %w", err)
 	}
 
+	defer opts.Recorder.Start(obs.StageSignature).End()
 	kiEl := sig.FirstChildNamed(xmlsecuri.DSigNamespace, "KeyInfo")
 	ki, err := ParseKeyInfo(kiEl)
 	if err != nil {
@@ -219,10 +220,7 @@ func Verify(doc *xmldom.Document, sig *xmldom.Element, opts VerifyOptions) (*Ver
 	result.CertificateChainValidated = chainValidated
 
 	if isHMACMethod(sigMethod) {
-		sp := opts.Recorder.Start(obs.StageSignature)
-		err := verifySignatureValue(sigMethod, siOctets, sigVal, nil, opts.HMACKey)
-		sp.End()
-		if err != nil {
+		if err := verifySignatureValue(sigMethod, siOctets, sigVal, nil, opts.HMACKey); err != nil {
 			return result, fmt.Errorf("%w: %v", ErrSignatureInvalid, err)
 		}
 		return result, nil
@@ -230,10 +228,7 @@ func Verify(doc *xmldom.Document, sig *xmldom.Element, opts VerifyOptions) (*Ver
 	if pub == nil {
 		return result, ErrNoVerificationKey
 	}
-	sp := opts.Recorder.Start(obs.StageSignature)
-	err = verifySignatureValue(sigMethod, siOctets, sigVal, pub, nil)
-	sp.End()
-	if err != nil {
+	if err := verifySignatureValue(sigMethod, siOctets, sigVal, pub, nil); err != nil {
 		return result, fmt.Errorf("%w: %v", ErrSignatureInvalid, err)
 	}
 	result.SignerKey = pub
@@ -300,19 +295,8 @@ func resolveVerificationKey(ki *ParsedKeyInfo, opts VerifyOptions) (crypto.Publi
 	if len(ki.Certificates) > 0 {
 		leaf := ki.Certificates[0]
 		if opts.Roots != nil {
-			inter := opts.Intermediates
-			if inter == nil {
-				inter = x509.NewCertPool()
-			}
-			for _, c := range ki.Certificates[1:] {
-				inter.AddCert(c)
-			}
-			if _, err := leaf.Verify(x509.VerifyOptions{
-				Roots:         opts.Roots,
-				Intermediates: inter,
-				KeyUsages:     []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
-			}); err != nil {
-				return nil, false, fmt.Errorf("%w: %v", ErrUntrustedCertificate, err)
+			if err := validateChain(ki.Certificates, opts); err != nil {
+				return nil, false, err
 			}
 			return leaf.PublicKey, true, nil
 		}
