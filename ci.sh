@@ -38,6 +38,9 @@ grep -q '"wallClockMillis"' discvet.sarif || { echo "discvet.sarif is missing th
 
 go test -race ./...
 go test -race ./internal/analysis/...
+# The benchmark suite is a module of its own, so the root `go test ./...`
+# never builds it; its smoke test catches an API change that breaks it.
+(cd cmd/discbench/suite && GOFLAGS= GOPROXY=off GOWORK=off go test ./...)
 make faults
 make chaos
 # Four differential fuzz targets, 15 s each (see the Makefile).

@@ -26,6 +26,7 @@ import (
 	"discsec/internal/keymgmt"
 	"discsec/internal/library"
 	"discsec/internal/obs"
+	"discsec/internal/resilience"
 	"discsec/internal/server"
 	"discsec/internal/workload"
 	"discsec/internal/xmldsig"
@@ -532,5 +533,33 @@ func TestEdgeRejectsMalformedDocuments(t *testing.T) {
 	_, _, err := e.OpenReader(context.Background(), bytes.NewReader([]byte("<unclosed>")))
 	if !errors.Is(err, library.ErrBadDocument) {
 		t.Fatalf("malformed document returned %v, want ErrBadDocument", err)
+	}
+}
+
+// TestEdgeMaxBodyCheckedBeforeKeying: a document of exactly the edge's
+// limit is served; one byte more is refused with the terminal size
+// error before it is keyed, not reported as malformed.
+func TestEdgeMaxBodyCheckedBeforeKeying(t *testing.T) {
+	f := newFleet(t, 1)
+	doc := signedDoc(t, f.creator, 91)
+	e := f.addEdge("edge-small", cluster.WithEdgeMaxBody(int64(len(doc))))
+	ctx := context.Background()
+	if _, st, err := e.OpenReader(ctx, bytes.NewReader(doc)); err != nil {
+		t.Fatalf("document at the limit: status=%q err=%v", st, err)
+	}
+	for _, c := range []struct {
+		name string
+		tail string
+	}{
+		{"one byte over the limit", "\n"},
+		// Cut at the limit, this body is not well-formed: keying it
+		// first would report it as malformed.
+		{"a comment over the limit", "<!-- trailing comment -->"},
+	} {
+		over := append(bytes.Clone(doc), c.tail...)
+		_, _, err := e.OpenReader(ctx, bytes.NewReader(over))
+		if !errors.Is(err, resilience.ErrTerminal) || !errors.Is(err, library.ErrTooLarge) || errors.Is(err, library.ErrBadDocument) {
+			t.Errorf("%s: err = %v, want the terminal size error", c.name, err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -374,17 +375,14 @@ func (e *Edge) OpenReader(ctx context.Context, r io.Reader) (Record, Status, err
 	return rd, status, err
 }
 
-// readFront runs the library key front over at most maxBody bytes.
+// readFront runs the library key front over at most maxBody bytes. A
+// longer document is refused before it is keyed.
 func (e *Edge) readFront(rec *obs.Recorder, r io.Reader) (library.Front, error) {
-	f, err := library.ReadFront(rec, io.LimitReader(r, e.maxBody+1))
-	if err != nil {
-		return library.Front{}, err
+	f, err := library.ReadFrontLimit(rec, r, e.maxBody)
+	if errors.Is(err, library.ErrTooLarge) {
+		return library.Front{}, resilience.Terminal(fmt.Errorf("cluster: %w", err))
 	}
-	if int64(len(f.Raw)) > e.maxBody {
-		f.Release()
-		return library.Front{}, resilience.Terminal(fmt.Errorf("cluster: document exceeds the %d-byte limit", e.maxBody))
-	}
-	return f, nil
+	return f, err
 }
 
 // releaseUnsent recycles a front's buffer when the open was a hit. Any

@@ -6,9 +6,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"discsec/internal/c14n"
+	"discsec/internal/memo"
 	"discsec/internal/obs"
 	"discsec/internal/xmldom"
 	"discsec/internal/xmlstream"
@@ -67,6 +69,21 @@ const maxPooledFront = 4 << 20
 // error reachable, e.g. an *http.MaxBytesError). Release the Front
 // once nothing reads Raw any more.
 func ReadFront(rec *obs.Recorder, r io.Reader) (Front, error) {
+	return readFront(rec, r, -1)
+}
+
+// ReadFrontLimit is ReadFront for a document of at most limit (≥ 0)
+// bytes. It reads at most one byte more; a longer document fails with
+// ErrTooLarge before any of it is keyed.
+func ReadFrontLimit(rec *obs.Recorder, r io.Reader, limit int64) (Front, error) {
+	if limit < math.MaxInt64 {
+		r = io.LimitReader(r, limit+1)
+	}
+	return readFront(rec, r, limit)
+}
+
+// readFront is the front over r; limit < 0 means unbounded.
+func readFront(rec *obs.Recorder, r io.Reader, limit int64) (Front, error) {
 	sp := rec.Start(obs.StageParse)
 	defer sp.End()
 	buf := frontBufs.Get().(*bytes.Buffer)
@@ -74,6 +91,10 @@ func ReadFront(rec *obs.Recorder, r io.Reader) (Front, error) {
 	if _, err := buf.ReadFrom(r); err != nil {
 		putFrontBuf(buf)
 		return Front{}, fmt.Errorf("%w: %w", ErrBadDocument, err)
+	}
+	if limit >= 0 && int64(buf.Len()) > limit {
+		putFrontBuf(buf)
+		return Front{}, fmt.Errorf("%w: more than %d bytes", ErrTooLarge, limit)
 	}
 	key, err := canonicalKey(rec, buf.Bytes())
 	if err != nil {
@@ -107,7 +128,36 @@ func KeyBytes(rec *obs.Recorder, raw []byte) (string, error) {
 	return canonicalKey(rec, raw)
 }
 
+// keyMemo sits in front of the canonical key: it maps the SHA-256 of a
+// document's exact bytes to the key canonicalKey derived from them, so
+// a repeat of those bytes is keyed by one hash instead of a
+// tokenization, a canonicalization and a hash. It caches a pure
+// function, so it is process-wide. At most keyMemoCap entries, about
+// 1 MiB, whatever the traffic.
+const keyMemoCap = 8192
+
+var keyMemo = memo.New[[sha256.Size]byte, string](keyMemoCap)
+
+// canonicalKey is the cache key of raw: memoized by the SHA-256 of the
+// bytes, computed by canonicalPass on a miss. Only successes are
+// stored, so malformed bytes fail again on every call.
 func canonicalKey(rec *obs.Recorder, raw []byte) (string, error) {
+	sum := sha256.Sum256(raw)
+	if key, ok := keyMemo.Get(sum); ok {
+		rec.Inc("library.key_memo_hit")
+		return key, nil
+	}
+	key, err := canonicalPass(rec, raw)
+	if err != nil {
+		return "", err
+	}
+	keyMemo.Put(sum, key)
+	return key, nil
+}
+
+// canonicalPass derives the key in one tokenization: scanner,
+// incremental exclusive C14N, SHA-256.
+func canonicalPass(rec *obs.Recorder, raw []byte) (string, error) {
 	h := sha256.New()
 	st, err := c14n.NewStream(h, c14n.Options{Exclusive: true, Recorder: rec})
 	if err != nil {

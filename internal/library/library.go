@@ -22,6 +22,13 @@
 // the epoch pair (global + per-signer) lets a revocation flush every
 // dependent verdict without a global lock or a cache walk.
 //
+// The canonical key is memoized in front of the canonical pass: a
+// process-wide, bounded memo maps the SHA-256 of a document's exact
+// bytes to its key, so a repeat open of bytes already keyed hashes
+// them once and neither tokenizes nor canonicalizes. The memo does not
+// replace the canonical key; any byte change misses it and is keyed by
+// its canonical form.
+//
 // Concurrency: lookups are lock-free per shard beyond one short mutex;
 // concurrent misses for the same digest collapse into a single
 // verification via singleflight; Mount prewarms a disc's manifest tree
@@ -70,6 +77,8 @@ var (
 	// itself (malformed XML, DOCTYPE, depth/token limits) — a client
 	// error, distinct from verification failures.
 	ErrBadDocument = errors.New("library: malformed document")
+	// ErrTooLarge indicates ReadFrontLimit read more than its limit.
+	ErrTooLarge = errors.New("library: document too large")
 	// ErrNotMounted indicates OpenTrack named an unknown disc.
 	ErrNotMounted = errors.New("library: disc not mounted")
 	// ErrAlreadyMounted indicates a duplicate Mount name.
@@ -268,7 +277,7 @@ func (l *Library) shardBudget(total int64) {
 
 //discvet:hotpath shard routing runs on every open
 func (l *Library) shardFor(key string) *shard {
-	// Keys are hex digests: fold the first two bytes for spread.
+	// Keys are hex digests: fold the first eight bytes for spread.
 	var h uint32
 	for i := 0; i < len(key) && i < 8; i++ {
 		h = h*31 + uint32(key[i])

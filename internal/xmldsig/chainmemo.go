@@ -5,8 +5,9 @@ import (
 	"crypto/x509"
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"time"
+
+	"discsec/internal/memo"
 )
 
 // chainMemoCap bounds the chain memo. A player or server sees one
@@ -41,10 +42,7 @@ func (w chainWindow) contains(t time.Time) bool {
 
 // chainMemo holds the windows of successful chain validations; a
 // failure is never stored.
-var chainMemo struct {
-	mu sync.Mutex
-	m  map[chainKey]chainWindow
-}
+var chainMemo = memo.New[chainKey, chainWindow](chainMemoCap)
 
 // validateChain checks that certs (leaf first, as embedded) chain to
 // opts.Roots, building from opts.Intermediates plus the embedded
@@ -56,9 +54,7 @@ var chainMemo struct {
 func validateChain(certs []*x509.Certificate, opts VerifyOptions) error {
 	k := chainKey{roots: opts.Roots, intermediates: opts.Intermediates, sum: chainSum(certs)}
 	t := now()
-	chainMemo.mu.Lock()
-	w, ok := chainMemo.m[k]
-	chainMemo.mu.Unlock()
+	w, ok := chainMemo.Get(k)
 	if ok && w.contains(t) {
 		return nil
 	}
@@ -83,15 +79,7 @@ func validateChain(certs []*x509.Certificate, opts VerifyOptions) error {
 		return fmt.Errorf("%w: %v", ErrUntrustedCertificate, err)
 	}
 
-	w = windowOf(chains[0])
-	chainMemo.mu.Lock()
-	if chainMemo.m == nil {
-		chainMemo.m = make(map[chainKey]chainWindow)
-	} else if len(chainMemo.m) >= chainMemoCap {
-		clear(chainMemo.m)
-	}
-	chainMemo.m[k] = w
-	chainMemo.mu.Unlock()
+	chainMemo.Put(k, windowOf(chains[0]))
 	return nil
 }
 

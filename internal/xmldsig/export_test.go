@@ -6,18 +6,10 @@ import "time"
 const ChainMemoCap = chainMemoCap
 
 // ChainMemoLen reports how many chain validations are memoized.
-func ChainMemoLen() int {
-	chainMemo.mu.Lock()
-	defer chainMemo.mu.Unlock()
-	return len(chainMemo.m)
-}
+func ChainMemoLen() int { return chainMemo.Len() }
 
 // ResetChainMemo forgets every memoized chain validation.
-func ResetChainMemo() {
-	chainMemo.mu.Lock()
-	defer chainMemo.mu.Unlock()
-	clear(chainMemo.m)
-}
+func ResetChainMemo() { chainMemo.Reset() }
 
 // SetClock runs chain validation at the instants f returns until the
 // returned function restores the real clock.
