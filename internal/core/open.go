@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto"
-	"crypto/sha256"
 	"crypto/x509"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -80,19 +78,11 @@ type OpenResult struct {
 var ErrVerificationRequired = errors.New("core: document carries no signature but the platform requires one")
 
 // KeyFingerprint derives the stable signer identity used for cache
-// keying and revocation fan-out: the hex SHA-256 of the key's PKIX
-// (SubjectPublicKeyInfo) encoding. Returns "" for a nil key or one the
-// x509 package cannot marshal.
+// keying and revocation fan-out (xmldsig.KeyFingerprint): the hex
+// SHA-256 of the key's PKIX (SubjectPublicKeyInfo) encoding. Returns ""
+// for a nil key or one the x509 package cannot marshal.
 func KeyFingerprint(pub crypto.PublicKey) string {
-	if pub == nil {
-		return ""
-	}
-	der, err := x509.MarshalPKIXPublicKey(pub)
-	if err != nil {
-		return ""
-	}
-	sum := sha256.Sum256(der)
-	return hex.EncodeToString(sum[:])
+	return xmldsig.KeyFingerprint(pub)
 }
 
 // OpenOption configures one OpenReader call.
@@ -192,7 +182,7 @@ func (o *Opener) OpenDocument(ctx context.Context, doc *xmldom.Document) (*OpenR
 			return nil, fmt.Errorf("core: signature %d: %w", i+1, err)
 		}
 		reports[i].ChainValidated = vres.CertificateChainValidated
-		reports[i].SignerKeyFingerprint = KeyFingerprint(vres.SignerKey)
+		reports[i].SignerKeyFingerprint = vres.SignerKeyFingerprint()
 		if vres.KeyInfo != nil {
 			reports[i].SignerName = vres.KeyInfo.KeyName
 			if len(vres.KeyInfo.Certificates) > 0 {
@@ -256,7 +246,7 @@ func (o *Opener) verifyDetachedReader(ctx context.Context, r io.Reader, resolver
 	}
 	rep := &SignatureReport{
 		ChainValidated:       vres.CertificateChainValidated,
-		SignerKeyFingerprint: KeyFingerprint(vres.SignerKey),
+		SignerKeyFingerprint: vres.SignerKeyFingerprint(),
 	}
 	if vres.KeyInfo != nil {
 		rep.SignerName = vres.KeyInfo.KeyName

@@ -194,7 +194,11 @@ func (m *Manifest) Element() *xmldom.Element {
 	return el
 }
 
-// ParseCluster reads a cluster document back into the model.
+// ParseCluster reads a cluster document back into the model. Security
+// markup is not part of the model: the result is the same as over a
+// copy of doc with every element named Signature or EncryptedData, in
+// any namespace, removed. doc is only read, and the model shares no
+// element with it.
 func ParseCluster(doc *xmldom.Document) (*InteractiveCluster, error) {
 	root := doc.Root()
 	if root == nil || root.Local != "cluster" || root.NamespaceURI() != ClusterNamespace {
@@ -257,14 +261,15 @@ func parseTrack(el *xmldom.Element) (*Track, error) {
 	return tr, nil
 }
 
-// ParseManifestElement reads a manifest element back into the model.
+// ParseManifestElement reads a manifest element back into the model,
+// leaving out security markup as ParseCluster does.
 func ParseManifestElement(el *xmldom.Element) (*Manifest, error) {
 	m := &Manifest{ID: el.AttrValue("Id"), PermissionFile: el.AttrValue("permissionfile")}
 	if mk := el.FirstChildNamed(ClusterNamespace, "markup"); mk != nil {
 		for _, smEl := range mk.ChildElementsNamed(ClusterNamespace, "submarkup") {
 			sm := SubMarkup{Kind: smEl.AttrValue("kind")}
-			if kids := smEl.ChildElements(); len(kids) > 0 {
-				sm.Content = kids[0].Clone()
+			if content := firstContent(smEl); content != nil {
+				sm.Content = cloneWithoutSecurityMarkup(content)
 			}
 			m.Markup.SubMarkups = append(m.Markup.SubMarkups, sm)
 		}
@@ -278,6 +283,39 @@ func ParseManifestElement(el *xmldom.Element) (*Manifest, error) {
 		}
 	}
 	return m, nil
+}
+
+// firstContent returns a submarkup's first child element that is not
+// security markup.
+func firstContent(sm *xmldom.Element) *xmldom.Element {
+	for _, c := range sm.Children {
+		if e, ok := c.(*xmldom.Element); ok && !isSecurityMarkup(e) {
+			return e
+		}
+	}
+	return nil
+}
+
+// isSecurityMarkup reports whether e is a signature or an encrypted
+// region: markup the model does not carry.
+func isSecurityMarkup(e *xmldom.Element) bool {
+	return e.Local == "Signature" || e.Local == "EncryptedData"
+}
+
+// cloneWithoutSecurityMarkup deep-copies e, as e.Clone does, leaving
+// out every security markup element below it.
+func cloneWithoutSecurityMarkup(e *xmldom.Element) *xmldom.Element {
+	out := &xmldom.Element{Prefix: e.Prefix, Local: e.Local, Attrs: append([]xmldom.Attr(nil), e.Attrs...)}
+	for _, c := range e.Children {
+		ce, ok := c.(*xmldom.Element)
+		switch {
+		case !ok:
+			out.AppendChild(c.CloneNode())
+		case !isSecurityMarkup(ce):
+			out.AppendChild(cloneWithoutSecurityMarkup(ce))
+		}
+	}
+	return out
 }
 
 // FindTrack returns the track with the given ID, or nil.

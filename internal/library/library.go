@@ -464,7 +464,7 @@ func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, raw [
 			}
 			return nil, fmt.Errorf("library: verification: %w", err)
 		}
-		cluster, err := decodeCluster(res.Doc)
+		cluster, err := disc.ParseCluster(res.Doc)
 		if err != nil {
 			return nil, fmt.Errorf("library: decode cluster: %w", err)
 		}
@@ -543,36 +543,6 @@ func primaryFingerprint(res *core.OpenResult) string {
 		}
 	}
 	return ""
-}
-
-// decodeCluster strips security markup from a clone and decodes the
-// content hierarchy (the same shape player sessions consume).
-func decodeCluster(doc *xmldom.Document) (*disc.InteractiveCluster, error) {
-	clean := doc.Clone()
-	stripSecurityElements(clean)
-	return disc.ParseCluster(clean)
-}
-
-func stripSecurityElements(doc *xmldom.Document) {
-	root := doc.Root()
-	if root == nil {
-		return
-	}
-	var remove []*xmldom.Element
-	root.Walk(func(n xmldom.Node) bool {
-		el, ok := n.(*xmldom.Element)
-		if !ok {
-			return true
-		}
-		if el.Local == "Signature" || el.Local == "EncryptedData" {
-			remove = append(remove, el)
-			return false
-		}
-		return true
-	})
-	for _, el := range remove {
-		el.Detach()
-	}
 }
 
 // InvalidateAll bumps the global trust epoch: every resident verdict

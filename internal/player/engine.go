@@ -148,37 +148,11 @@ func (e *Engine) loadFrom(ctx context.Context, rec *obs.Recorder, r io.Reader) (
 	if err != nil {
 		return nil, fmt.Errorf("player: security processing: %w", err)
 	}
-	// Strip signatures before model decoding: they are markup the
-	// model does not carry.
-	clean := res.Doc.Clone()
-	stripSecurityElements(clean)
-	cluster, err := disc.ParseCluster(clean)
+	cluster, err := disc.ParseCluster(res.Doc)
 	if err != nil {
 		return nil, fmt.Errorf("player: decode cluster: %w", err)
 	}
 	return &Session{Cluster: cluster, Doc: res.Doc, OpenResult: res, engine: e, rec: rec}, nil
-}
-
-func stripSecurityElements(doc *xmldom.Document) {
-	root := doc.Root()
-	if root == nil {
-		return
-	}
-	var remove []*xmldom.Element
-	root.Walk(func(n xmldom.Node) bool {
-		el, ok := n.(*xmldom.Element)
-		if !ok {
-			return true
-		}
-		if el.Local == "Signature" || el.Local == "EncryptedData" {
-			remove = append(remove, el)
-			return false
-		}
-		return true
-	})
-	for _, el := range remove {
-		el.Detach()
-	}
 }
 
 // Verified reports whether the session's content passed signature

@@ -393,13 +393,31 @@ func TestLoadBareDocument(t *testing.T) {
 	}
 }
 
+// TestStripSecurityElements: the session decode leaves signatures and
+// encrypted regions out of the model and leaves the verified document
+// as it was.
 func TestStripSecurityElements(t *testing.T) {
-	doc, err := xmldom.ParseString(`<cluster xmlns="urn:discsec:cluster"><track Id="t" kind="av"><playlist/></track><Signature xmlns="http://www.w3.org/2000/09/xmldsig#"/></cluster>`)
+	const ds = `xmlns="http://www.w3.org/2000/09/xmldsig#"`
+	doc, err := xmldom.ParseString(`<cluster xmlns="urn:discsec:cluster"><track Id="t" kind="av"><playlist/></track>` +
+		`<track Id="a" kind="application"><manifest><markup><submarkup kind="layout"><Signature ` + ds + `/>` +
+		`<layout><region id="r"/><Signature ` + ds + `/></layout></submarkup></markup></manifest></track>` +
+		`<Signature ` + ds + `/></cluster>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripSecurityElements(doc)
-	if len(doc.Root().ChildElements()) != 1 {
-		t.Errorf("signature not stripped: %s", doc.Root().String())
+	before := doc.String()
+	cl, err := disc.ParseCluster(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.String(); got != before {
+		t.Errorf("decode modified the verified document:\n%s\nwant\n%s", got, before)
+	}
+	if len(cl.Tracks) != 2 {
+		t.Fatalf("decoded %d tracks, want 2", len(cl.Tracks))
+	}
+	content := cl.Tracks[1].Manifest.Markup.SubMarkups[0].Content
+	if content == nil || content.Local != "layout" || len(content.ChildElements()) != 1 {
+		t.Errorf("signature not stripped from submarkup content: %v", content)
 	}
 }

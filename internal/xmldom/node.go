@@ -363,7 +363,27 @@ func (e *Element) FirstChildNamed(ns, local string) *Element {
 }
 
 // Text returns the concatenation of all directly contained text nodes.
+// A lone text child's Data is returned as is, without a copy.
 func (e *Element) Text() string {
+	var lone *Text
+	for _, c := range e.Children {
+		t, ok := c.(*Text)
+		if !ok {
+			continue
+		}
+		if lone != nil {
+			return e.joinText()
+		}
+		lone = t
+	}
+	if lone == nil {
+		return ""
+	}
+	return lone.Data
+}
+
+// joinText concatenates several direct text children.
+func (e *Element) joinText() string {
 	var b strings.Builder
 	for _, c := range e.Children {
 		if t, ok := c.(*Text); ok {

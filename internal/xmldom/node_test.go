@@ -2,6 +2,7 @@ package xmldom
 
 import (
 	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -502,5 +503,40 @@ func TestNamedChildLookups(t *testing.T) {
 	}
 	if el := r.FirstChildNamed("urn:zzz", "k"); el != nil {
 		t.Error("unknown namespace matched")
+	}
+}
+
+func TestTextMatchesConcatenation(t *testing.T) {
+	for _, tc := range []struct{ name, xml string }{
+		{"no-children", `<r/>`},
+		{"lone-text", `<r>only text</r>`},
+		{"lone-empty-cdata", `<r><![CDATA[]]></r>`},
+		{"several-text-nodes", `<r>a<![CDATA[b]]>c</r>`},
+		{"text-around-element", `<r>a<e>inner</e>b</r>`},
+		{"text-and-comment", `<r><!-- c -->a<!-- d --></r>`},
+		{"element-only", `<r><e>inner</e></r>`},
+		{"mixed", `<r>a<?pi x?><e/>b<!-- c -->c<e>d</e></r>`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			doc, err := ParseString(tc.xml)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := doc.Root()
+			var want strings.Builder
+			for _, c := range root.Children {
+				if tx, ok := c.(*Text); ok {
+					want.WriteString(tx.Data)
+				}
+			}
+			if got := root.Text(); got != want.String() {
+				t.Errorf("Text() = %q, want %q", got, want.String())
+			}
+		})
+	}
+	// Built trees hold adjacent text nodes the parser would merge.
+	e := NewElement("r").AddText("x").AddText("").AddText("y")
+	if got := e.Text(); got != "xy" {
+		t.Errorf("Text() over built text nodes = %q, want %q", got, "xy")
 	}
 }

@@ -3,20 +3,71 @@ package xmldsig
 import (
 	"crypto/sha256"
 	"crypto/x509"
-	"encoding/binary"
 	"fmt"
+	"sync"
 	"time"
 
 	"discsec/internal/memo"
 )
 
-// chainMemoCap bounds the chain memo. A player or server sees one
-// embedded chain per signer, far fewer than this; a full memo is
-// cleared outright, since a miss costs only a re-validation.
-const chainMemoCap = 1024
+// The memos' caps. A player or server sees one embedded chain of a few
+// certificates per signer, far fewer than this; a full memo is cleared
+// outright, since a miss costs only a re-parse or a re-validation.
+const (
+	certMemoCap  = 1024
+	chainMemoCap = 1024
+)
 
 // now is the clock chain validation runs at, hit or miss.
 var now = time.Now
+
+// parsedCert is one memoized certificate parse. It is shared by every
+// ds:KeyInfo embedding the same DER, so nothing may modify cert.
+type parsedCert struct {
+	cert *x509.Certificate
+
+	fingerprintOnce sync.Once
+	fingerprint     string
+}
+
+// leafFingerprint returns KeyFingerprint(pc.cert.PublicKey), computed
+// the first time the certificate is embedded as a leaf: issuing and
+// root certificates never need it.
+func (pc *parsedCert) leafFingerprint() string {
+	pc.fingerprintOnce.Do(func() { pc.fingerprint = KeyFingerprint(pc.cert.PublicKey) })
+	return pc.fingerprint
+}
+
+// certMemo maps the SHA-256 of a certificate's exact DER to its parse;
+// a parse failure is never stored.
+var certMemo = memo.New[[sha256.Size]byte, *parsedCert](certMemoCap)
+
+// parseCertificate parses der, or returns the parse this process made
+// of the same bytes, together with the SHA-256 of der. Parsing is a
+// pure function of the bytes, so a memo keyed on their digest returns
+// exactly what a fresh parse would.
+func parseCertificate(der []byte) (*parsedCert, [sha256.Size]byte, error) {
+	sum := sha256.Sum256(der)
+	if pc, ok := certMemo.Get(sum); ok {
+		return pc, sum, nil
+	}
+	cert, err := x509.ParseCertificate(der)
+	if err != nil {
+		return nil, sum, err
+	}
+	pc := &parsedCert{cert: cert}
+	certMemo.Put(sum, pc)
+	return pc, sum, nil
+}
+
+// ResetMemos forgets every memoized certificate parse and chain
+// validation. No verification result depends on the memos; this lets
+// benchmarks and tests outside the package time and check a signer's
+// first document.
+func ResetMemos() {
+	certMemo.Reset()
+	chainMemo.Reset()
+}
 
 // chainKey names one chain-validation question: does this exact
 // embedded certificate sequence chain to these exact pools. Holding
@@ -24,9 +75,9 @@ var now = time.Now
 // never aliases a new one.
 type chainKey struct {
 	roots, intermediates *x509.CertPool
-	// sum is the SHA-256 of the length-prefixed DER of every embedded
-	// certificate, leaf first.
-	sum [32]byte
+	// sum is ParsedKeyInfo.chainSum: the SHA-256 of the DER sums of
+	// every embedded certificate, leaf first.
+	sum [sha256.Size]byte
 }
 
 // chainWindow is the span of instants at which every certificate of a
@@ -44,15 +95,16 @@ func (w chainWindow) contains(t time.Time) bool {
 // failure is never stored.
 var chainMemo = memo.New[chainKey, chainWindow](chainMemoCap)
 
-// validateChain checks that certs (leaf first, as embedded) chain to
-// opts.Roots, building from opts.Intermediates plus the embedded
-// certificates. A chain this process already validated against the
-// same pools is accepted without rebuilding it while the clock stays
-// inside its validity window. Nothing else the validation consults
-// changes over time: no revocation data enters it, and pools only
-// ever gain certificates.
-func validateChain(certs []*x509.Certificate, opts VerifyOptions) error {
-	k := chainKey{roots: opts.Roots, intermediates: opts.Intermediates, sum: chainSum(certs)}
+// validateChain checks that ki's certificates (leaf first, as
+// embedded) chain to opts.Roots, building from opts.Intermediates plus
+// the embedded certificates. A chain this process already validated
+// against the same pools is accepted without rebuilding it while the
+// clock stays inside its validity window. Nothing else the validation
+// consults changes over time: no revocation data enters it, and pools
+// only ever gain certificates.
+func validateChain(ki *ParsedKeyInfo, opts VerifyOptions) error {
+	certs := ki.Certificates
+	k := chainKey{roots: opts.Roots, intermediates: opts.Intermediates, sum: ki.chainSum}
 	t := now()
 	w, ok := chainMemo.Get(k)
 	if ok && w.contains(t) {
@@ -81,21 +133,6 @@ func validateChain(certs []*x509.Certificate, opts VerifyOptions) error {
 
 	chainMemo.Put(k, windowOf(chains[0]))
 	return nil
-}
-
-// chainSum hashes the certificates' DER, each behind its length, so
-// no two distinct sequences share an encoding.
-func chainSum(certs []*x509.Certificate) [32]byte {
-	h := sha256.New()
-	var n [8]byte
-	for _, c := range certs {
-		binary.BigEndian.PutUint64(n[:], uint64(len(c.Raw)))
-		h.Write(n[:])
-		h.Write(c.Raw)
-	}
-	var sum [32]byte
-	h.Sum(sum[:0])
-	return sum
 }
 
 // windowOf intersects the validity periods along a chain: the latest

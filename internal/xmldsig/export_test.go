@@ -17,3 +17,12 @@ func SetClock(f func() time.Time) (restore func()) {
 	now = f
 	return func() { now = time.Now }
 }
+
+// CertMemoCap is the parsed-certificate memo's entry cap.
+const CertMemoCap = certMemoCap
+
+// CertMemoLen reports how many certificate parses are memoized.
+func CertMemoLen() int { return certMemo.Len() }
+
+// LeafFingerprint is the leaf fingerprint ParseKeyInfo recorded for ki.
+func LeafFingerprint(ki *ParsedKeyInfo) string { return ki.leafFingerprint }

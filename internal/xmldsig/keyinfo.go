@@ -3,8 +3,10 @@ package xmldsig
 import (
 	"crypto"
 	"crypto/rsa"
+	"crypto/sha256"
 	"crypto/x509"
 	"encoding/base64"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/big"
@@ -67,9 +69,18 @@ func buildKeyInfo(prefix string, spec KeyInfoSpec, pub crypto.PublicKey) (*xmldo
 
 // ParsedKeyInfo is the verifier-side view of a ds:KeyInfo element.
 type ParsedKeyInfo struct {
-	KeyName      string
-	KeyValue     crypto.PublicKey
+	KeyName  string
+	KeyValue crypto.PublicKey
+	// Certificates are the embedded certificates, leaf first. Each is
+	// the parsed-certificate memo's copy, shared with every other
+	// ds:KeyInfo that embeds the same DER: read it, never modify it.
 	Certificates []*x509.Certificate
+
+	// chainSum is the SHA-256 of the DER sums of Certificates, in
+	// order: the chain memo's name for the embedded sequence.
+	chainSum [sha256.Size]byte
+	// leafFingerprint is KeyFingerprint of the leaf's public key.
+	leafFingerprint string
 }
 
 // ParseKeyInfo extracts key material hints from a ds:KeyInfo element. A
@@ -91,18 +102,28 @@ func ParseKeyInfo(ki *xmldom.Element) (*ParsedKeyInfo, error) {
 			out.KeyValue = pub
 		}
 	}
+	// The DER sums, on the stack for chains of up to four certificates.
+	var sumsBuf [4 * sha256.Size]byte
+	sums := sumsBuf[:0]
 	for _, xd := range ki.ChildElementsNamed(xmlsecuri.DSigNamespace, "X509Data") {
 		for _, xc := range xd.ChildElementsNamed(xmlsecuri.DSigNamespace, "X509Certificate") {
-			der, err := decodeBase64Text(xc.Text())
+			der, err := xmldom.DecodeBase64(xc.Text())
 			if err != nil {
 				return nil, fmt.Errorf("xmldsig: X509Certificate: %w", err)
 			}
-			cert, err := x509.ParseCertificate(der)
+			pc, sum, err := parseCertificate(der)
 			if err != nil {
 				return nil, fmt.Errorf("xmldsig: X509Certificate: %w", err)
 			}
-			out.Certificates = append(out.Certificates, cert)
+			if len(out.Certificates) == 0 {
+				out.leafFingerprint = pc.leafFingerprint()
+			}
+			out.Certificates = append(out.Certificates, pc.cert)
+			sums = append(sums, sum[:]...)
 		}
+	}
+	if len(out.Certificates) > 0 {
+		out.chainSum = sha256.Sum256(sums)
 	}
 	return out, nil
 }
@@ -116,17 +137,33 @@ func (p *ParsedKeyInfo) LeafPublicKey() crypto.PublicKey {
 	return p.KeyValue
 }
 
+// KeyFingerprint derives the stable signer identity used for cache
+// keying and revocation fan-out: the hex SHA-256 of the key's PKIX
+// (SubjectPublicKeyInfo) encoding. Returns "" for a nil key or one the
+// x509 package cannot marshal.
+func KeyFingerprint(pub crypto.PublicKey) string {
+	if pub == nil {
+		return ""
+	}
+	der, err := x509.MarshalPKIXPublicKey(pub)
+	if err != nil {
+		return ""
+	}
+	sum := sha256.Sum256(der)
+	return hex.EncodeToString(sum[:])
+}
+
 func parseRSAKeyValue(rkv *xmldom.Element) (*rsa.PublicKey, error) {
 	modEl := rkv.FirstChildNamed(xmlsecuri.DSigNamespace, "Modulus")
 	expEl := rkv.FirstChildNamed(xmlsecuri.DSigNamespace, "Exponent")
 	if modEl == nil || expEl == nil {
 		return nil, errors.New("xmldsig: RSAKeyValue missing Modulus or Exponent")
 	}
-	mod, err := decodeBase64Text(modEl.Text())
+	mod, err := xmldom.DecodeBase64(modEl.Text())
 	if err != nil {
 		return nil, fmt.Errorf("xmldsig: RSAKeyValue Modulus: %w", err)
 	}
-	exp, err := decodeBase64Text(expEl.Text())
+	exp, err := xmldom.DecodeBase64(expEl.Text())
 	if err != nil {
 		return nil, fmt.Errorf("xmldsig: RSAKeyValue Exponent: %w", err)
 	}
@@ -144,18 +181,4 @@ func publicKeyOf(key crypto.Signer) crypto.PublicKey {
 		return nil
 	}
 	return key.Public()
-}
-
-// decodeBase64Text decodes base64 content tolerating embedded whitespace
-// (XML content is frequently wrapped).
-func decodeBase64Text(s string) ([]byte, error) {
-	compact := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case ' ', '\t', '\n', '\r':
-		default:
-			compact = append(compact, s[i])
-		}
-	}
-	return base64.StdEncoding.DecodeString(string(compact))
 }

@@ -138,7 +138,7 @@ func validateManifestReference(doc *xmldom.Document, sig, refEl *xmldom.Element,
 		res.Err = err
 		return res
 	}
-	want, err := decodeBase64Text(dvEl.Text())
+	want, err := xmldom.DecodeBase64(dvEl.Text())
 	if err != nil {
 		res.Err = fmt.Errorf("xmldsig: manifest DigestValue: %w", err)
 		return res

@@ -155,7 +155,7 @@ func applyTransform(data refData, tr transformSpec, sigEl *xmldom.Element, rec *
 		} else {
 			text = string(data.octets)
 		}
-		decoded, err := decodeBase64Text(text)
+		decoded, err := xmldom.DecodeBase64(text)
 		if err != nil {
 			return refData{}, fmt.Errorf("xmldsig: base64 transform: %w", err)
 		}

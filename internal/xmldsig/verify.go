@@ -71,7 +71,10 @@ type VerifyResult struct {
 	SignatureMethod string
 	// References holds per-reference digest results.
 	References []ReferenceResult
-	// KeyInfo carries the parsed key hints from the signature.
+	// KeyInfo carries the parsed key hints from the signature. Its
+	// certificates, and so SignerKey when it is the leaf's, are shared
+	// with every result whose signature embeds the same DER: they are
+	// read-only.
 	KeyInfo *ParsedKeyInfo
 	// SignerKey is the public key that validated SignatureValue (nil
 	// for HMAC signatures). Callers deriving cache or trust identities
@@ -81,6 +84,20 @@ type VerifyResult struct {
 	// CertificateChainValidated reports whether an embedded X.509
 	// chain was validated against the configured roots.
 	CertificateChainValidated bool
+
+	// signerFingerprint is the leaf's memoized fingerprint when
+	// SignerKey is the embedded leaf's key, else "".
+	signerFingerprint string
+}
+
+// SignerKeyFingerprint returns KeyFingerprint(r.SignerKey). For a key
+// from an embedded leaf certificate it is the fingerprint computed once,
+// when the certificate was first parsed.
+func (r *VerifyResult) SignerKeyFingerprint() string {
+	if r.signerFingerprint != "" {
+		return r.signerFingerprint
+	}
+	return KeyFingerprint(r.SignerKey)
 }
 
 // FindSignature locates the first ds:Signature element in the document.
@@ -200,7 +217,7 @@ func Verify(doc *xmldom.Document, sig *xmldom.Element, opts VerifyOptions) (*Ver
 	if err != nil {
 		return nil, err
 	}
-	sigVal, err := decodeBase64Text(svEl.Text())
+	sigVal, err := xmldom.DecodeBase64(svEl.Text())
 	if err != nil {
 		return nil, fmt.Errorf("xmldsig: SignatureValue: %w", err)
 	}
@@ -232,6 +249,10 @@ func Verify(doc *xmldom.Document, sig *xmldom.Element, opts VerifyOptions) (*Ver
 		return result, fmt.Errorf("%w: %v", ErrSignatureInvalid, err)
 	}
 	result.SignerKey = pub
+	if opts.Key == nil && len(ki.Certificates) > 0 {
+		// resolveVerificationKey took the leaf's key.
+		result.signerFingerprint = ki.leafFingerprint
+	}
 	return result, nil
 }
 
@@ -252,7 +273,7 @@ func verifyReference(doc *xmldom.Document, sig, refEl *xmldom.Element, opts Veri
 	if err != nil {
 		return ReferenceResult{}, err
 	}
-	want, err := decodeBase64Text(dvEl.Text())
+	want, err := xmldom.DecodeBase64(dvEl.Text())
 	if err != nil {
 		return ReferenceResult{}, fmt.Errorf("xmldsig: Reference %q DigestValue: %w", uri, err)
 	}
@@ -295,7 +316,7 @@ func resolveVerificationKey(ki *ParsedKeyInfo, opts VerifyOptions) (crypto.Publi
 	if len(ki.Certificates) > 0 {
 		leaf := ki.Certificates[0]
 		if opts.Roots != nil {
-			if err := validateChain(ki.Certificates, opts); err != nil {
+			if err := validateChain(ki, opts); err != nil {
 				return nil, false, err
 			}
 			return leaf.PublicKey, true, nil

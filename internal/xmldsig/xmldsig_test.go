@@ -384,7 +384,7 @@ func TestECDSASignatureValueFormat(t *testing.T) {
 	}
 	sig := FindSignature(doc)
 	sv := sig.FirstChildNamed(xmlsecuri.DSigNamespace, "SignatureValue")
-	raw, err := decodeBase64Text(sv.Text())
+	raw, err := xmldom.DecodeBase64(sv.Text())
 	if err != nil {
 		t.Fatal(err)
 	}

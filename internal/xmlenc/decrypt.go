@@ -2,7 +2,6 @@ package xmlenc
 
 import (
 	"crypto/rsa"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"io"
@@ -159,7 +158,7 @@ func cipherPayload(ed *xmldom.Element, opts DecryptOptions) ([]byte, error) {
 		return nil, errors.New("xmlenc: EncryptedData missing CipherData")
 	}
 	if cv := cd.FirstChildNamed(xmlsecuri.EncNamespace, "CipherValue"); cv != nil {
-		return decodeBase64Text(cv.Text())
+		return xmldom.DecodeBase64(cv.Text())
 	}
 	if cr := cd.FirstChildNamed(xmlsecuri.EncNamespace, "CipherReference"); cr != nil {
 		uri, ok := cr.Attr("URI")
@@ -262,7 +261,7 @@ func cipherValueOf(el *xmldom.Element) ([]byte, error) {
 	if cv == nil {
 		return nil, errors.New("xmlenc: missing CipherValue")
 	}
-	return decodeBase64Text(cv.Text())
+	return xmldom.DecodeBase64(cv.Text())
 }
 
 // parseFragment parses plaintext that may hold several sibling nodes by
@@ -285,16 +284,4 @@ func parseFragment(b []byte) ([]xmldom.Node, error) {
 		}
 	}
 	return nodes, nil
-}
-
-func decodeBase64Text(s string) ([]byte, error) {
-	compact := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case ' ', '\t', '\n', '\r':
-		default:
-			compact = append(compact, s[i])
-		}
-	}
-	return base64.StdEncoding.DecodeString(string(compact))
 }

@@ -215,7 +215,7 @@ func EncryptOctetsToReference(data []byte, uri string, opts EncryptOptions) (*xm
 	ed := doc.Root()
 	cd := ed.FirstChildNamed(xmlsecuri.EncNamespace, "CipherData")
 	cv := cd.FirstChildNamed(xmlsecuri.EncNamespace, "CipherValue")
-	payload, err := decodeBase64Text(cv.Text())
+	payload, err := xmldom.DecodeBase64(cv.Text())
 	if err != nil {
 		return nil, nil, err
 	}
