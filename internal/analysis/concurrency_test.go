@@ -157,7 +157,8 @@ func TestBaselineRoundTripV3Rules(t *testing.T) {
 }
 
 // TestProductionHotPathAnnotated pins the seed annotations on the real
-// module: the warm-open path, the c14n escape loops, and the obs
+// module: the warm-open path, the c14n escape loops and word skips, the
+// scanner's word skip, the reference digest runner, and the obs
 // recorder hot path are hotpath roots, and the audited escapes are
 // coldpath. If an annotation comment drifts out of directive position
 // (and so silently stops being enforced), this fails.
@@ -166,7 +167,8 @@ func TestProductionHotPathAnnotated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	pkgs, err := l.Load("./internal/library", "./internal/c14n", "./internal/obs", "./internal/cowmap")
+	pkgs, err := l.Load("./internal/library", "./internal/c14n", "./internal/obs", "./internal/cowmap",
+		"./internal/xmlstream", "./internal/xmldsig")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -179,6 +181,8 @@ func TestProductionHotPathAnnotated(t *testing.T) {
 		"library.Library.lookup", "library.Library.entryValid",
 		"library.Library.signerEpochOf", "library.Library.shardFor", "library.shard.get",
 		"c14n.appendText", "c14n.appendAttrValue", "c14n.Stream.walk",
+		"c14n.textSpecial", "xmlstream.charsRun", "xmlstream.LanesHolding",
+		"xmldsig.writeTransformed",
 		"obs.Recorder.Add", "obs.Recorder.Inc", "obs.Recorder.Observe",
 		"obs.Recorder.Start", "obs.Span.End",
 		"cowmap.Map.Get", "cowmap.Map.GetOrCreate",

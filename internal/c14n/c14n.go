@@ -15,6 +15,7 @@ package c14n
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"slices"
 
 	"discsec/internal/obs"
@@ -50,8 +51,13 @@ func ByURI(uri string) (Options, error) {
 	case xmlsecuri.ExcC14NWithComments:
 		return Options{Exclusive: true, WithComments: true}, nil
 	default:
-		return Options{}, fmt.Errorf("c14n: unsupported canonicalization method %q", uri)
+		return Options{}, errUnsupportedMethod(uri)
 	}
+}
+
+//discvet:coldpath error path
+func errUnsupportedMethod(uri string) error {
+	return fmt.Errorf("c14n: unsupported canonicalization method %q", uri)
 }
 
 // URI returns the algorithm identifier for the options.
@@ -83,13 +89,20 @@ func Canonicalize(e *xmldom.Element, opts Options) ([]byte, error) {
 // outside the subtree, leaves nothing out.
 func CanonicalizeExcept(e, excluded *xmldom.Element, opts Options) ([]byte, error) {
 	var out bytes.Buffer
-	s := newStream(&out, opts)
-	s.seed(e)
-	s.walk(e, excluded)
-	if err := s.Close(); err != nil {
+	if err := WriteExcept(&out, e, excluded, opts); err != nil {
 		return nil, err
 	}
 	return out.Bytes(), nil
+}
+
+// WriteExcept writes what CanonicalizeExcept returns to w, in the
+// Stream's buffered chunks, and holds none of it: a reference digest
+// streams the canonical octets straight into its hash.
+func WriteExcept(w io.Writer, e, excluded *xmldom.Element, opts Options) error {
+	s := newStream(w, opts)
+	s.seed(e)
+	s.walk(e, excluded)
+	return s.Close()
 }
 
 // CanonicalizeDocument renders a whole document in canonical form,

@@ -2,6 +2,7 @@ package c14n
 
 import (
 	"io"
+	"math/bits"
 	"sync"
 
 	"discsec/internal/obs"
@@ -470,7 +471,7 @@ func appendQName(dst []byte, prefix, local string) []byte {
 //discvet:hotpath inner loop of every digest canonicalization; must not allocate per byte
 func appendText[T string | []byte](dst []byte, s T) []byte {
 	last := 0
-	for i := 0; i < len(s); i++ {
+	for i := textSpecial(s, 0); i < len(s); i = textSpecial(s, i+1) {
 		var rep string
 		switch s[i] {
 		case '&':
@@ -479,16 +480,37 @@ func appendText[T string | []byte](dst []byte, s T) []byte {
 			rep = "&lt;"
 		case '>':
 			rep = "&gt;"
-		case '\r':
+		default: // '\r'
 			rep = "&#xD;"
-		default:
-			continue
 		}
 		dst = append(dst, s[last:i]...)
 		dst = append(dst, rep...)
 		last = i + 1
 	}
 	return append(dst, s[last:]...)
+}
+
+// textSpecial returns the index of the first byte at or after i that
+// appendText escapes (& < > CR), or len(s). Clean runs are passed over
+// eight bytes at a time with the scanner's xmlstream.LanesHolding.
+//
+//discvet:hotpath word skip under appendText on every reference digest
+func textSpecial[T string | []byte](s T, i int) int {
+	for ; i+8 <= len(s); i += 8 {
+		x := uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
+			uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
+		if m := xmlstream.LanesHolding(x, '&') | xmlstream.LanesHolding(x, '<') |
+			xmlstream.LanesHolding(x, '>') | xmlstream.LanesHolding(x, '\r'); m != 0 {
+			return i + bits.TrailingZeros64(m)>>3
+		}
+	}
+	for ; i < len(s); i++ {
+		switch s[i] {
+		case '&', '<', '>', '\r':
+			return i
+		}
+	}
+	return i
 }
 
 // appendAttrValue escapes attribute values per the canonical form:

@@ -222,6 +222,9 @@ func FuzzStreamDifferential(f *testing.F) {
 	f.Add([]byte(`<a xmlns:x="urn:&quot;x&quot;" x:a="1"/>`))
 	f.Add([]byte("<a>" + strings.Repeat("<b>", 40) + strings.Repeat("</b>", 40) + "</a>"))
 	f.Add([]byte(`<!DOCTYPE a [<!ENTITY e "v">]><a>&e;</a>`))
+	for _, d := range wordSkipDocs {
+		f.Add([]byte(d))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, err := xmldom.ParseBytes(data)
 		for _, m := range streamModes {

@@ -41,7 +41,8 @@ func fillDoc(b *testing.B, stmts int) []byte {
 // BenchmarkFill measures one verification fill through the library:
 // parse, decryption transform, reference digests, key resolution,
 // chain and signature validation, decryption and the model decode, at
-// three manifest sizes. Before every iteration, outside the timed
+// four manifest sizes (stmts=60 is about 6 KiB, lib-cold's mean
+// document). Before every iteration, outside the timed
 // region, the library forgets its verdicts, so every open misses and
 // fills. signer-cold also forgets every memo (canonical key, parsed
 // certificates, validated chains): a signer's first document.
@@ -50,7 +51,7 @@ func fillDoc(b *testing.B, stmts int) []byte {
 func BenchmarkFill(b *testing.B) {
 	ctx := context.Background()
 	for _, signer := range []string{"signer-cold", "signer-warm"} {
-		for _, stmts := range []int{20, 200, 2000} {
+		for _, stmts := range []int{20, 60, 200, 2000} {
 			raw := fillDoc(b, stmts)
 			cold := signer == "signer-cold"
 			b.Run(fmt.Sprintf("%s/stmts=%d", signer, stmts), func(b *testing.B) {

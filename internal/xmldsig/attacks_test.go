@@ -26,9 +26,26 @@ func TestSignatureWrappingDuplicateID(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Attack: wrap the original item into the signature, replace the
-	// original position with malicious content using the same Id.
-	attacked := parseDoc(t, doc.Root().String())
+	rx := wrapAttack(t, doc)
+	res, err := VerifyDocument(rx, VerifyOptions{})
+	if err == nil {
+		// If verification somehow succeeded, the dereferenced content
+		// must still be the original, not the attacker's. With
+		// first-in-document-order Id resolution the malicious element
+		// is found first and its digest cannot match.
+		t.Fatalf("wrapped document verified: %+v", res)
+	}
+	if !errors.Is(err, ErrDigestMismatch) {
+		t.Logf("verification failed with: %v (acceptable, must not pass)", err)
+	}
+}
+
+// wrapAttack moves the element signed by Id "payload" into a ds:Object
+// inside the Signature and plants an element with the same Id at its
+// original position, then reparses the result.
+func wrapAttack(t *testing.T, signed *xmldom.Document) *xmldom.Document {
+	t.Helper()
+	attacked := parseDoc(t, signed.Root().String())
 	orig := attacked.ElementByID("payload")
 	sig := FindSignature(attacked)
 	wrapper := xmldom.NewElement("ds:Object")
@@ -42,19 +59,7 @@ func TestSignatureWrappingDuplicateID(t *testing.T) {
 	evil.SetAttr("Id", "payload")
 	evil.CreateChild("cmd").SetText("format-storage")
 	parent.InsertChildAt(idx, evil)
-
-	rx := parseDoc(t, attacked.Root().String())
-	res, err := VerifyDocument(rx, VerifyOptions{})
-	if err == nil {
-		// If verification somehow succeeded, the dereferenced content
-		// must still be the original, not the attacker's. With
-		// first-in-document-order Id resolution the malicious element
-		// is found first and its digest cannot match.
-		t.Fatalf("wrapped document verified: %+v", res)
-	}
-	if !errors.Is(err, ErrDigestMismatch) {
-		t.Logf("verification failed with: %v (acceptable, must not pass)", err)
-	}
+	return parseDoc(t, attacked.Root().String())
 }
 
 // Algorithm confusion: re-labelling an RSA signature as HMAC must never

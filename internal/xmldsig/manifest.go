@@ -62,12 +62,10 @@ func SignManifest(refs []ReferenceSpec, manifestID string, resolver ExternalReso
 		if err != nil {
 			return nil, err
 		}
-		octets, err := applyTransforms(data, chain, sig, nil)
+		digest, err := digestReference(h, data, chain, sig, nil)
 		if err != nil {
 			return nil, err
 		}
-		hasher := h.New()
-		hasher.Write(octets)
 
 		refEl := man.CreateChild(DefaultPrefix + ":Reference")
 		refEl.SetAttr("URI", rs.URI)
@@ -78,7 +76,7 @@ func SignManifest(refs []ReferenceSpec, manifestID string, resolver ExternalReso
 			}
 		}
 		refEl.CreateChild(DefaultPrefix+":DigestMethod").SetAttr("Algorithm", opts.DigestMethod)
-		refEl.CreateChild(DefaultPrefix + ":DigestValue").SetText(base64.StdEncoding.EncodeToString(hasher.Sum(nil)))
+		refEl.CreateChild(DefaultPrefix + ":DigestValue").SetText(base64.StdEncoding.EncodeToString(digest))
 	}
 
 	// SignedInfo covers the manifest element by reference.
@@ -153,13 +151,11 @@ func validateManifestReference(doc *xmldom.Document, sig, refEl *xmldom.Element,
 		res.Err = err
 		return res
 	}
-	octets, err := applyTransforms(data, chain, sig, nil)
+	got, err := digestReference(h, data, chain, sig, nil)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	hasher := h.New()
-	hasher.Write(octets)
-	res.Valid = subtle.ConstantTimeCompare(hasher.Sum(nil), want) == 1
+	res.Valid = subtle.ConstantTimeCompare(got, want) == 1
 	return res
 }

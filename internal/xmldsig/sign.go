@@ -290,14 +290,12 @@ func signInDocumentWithResolver(doc *xmldom.Document, parent *xmldom.Element, re
 		if err != nil {
 			return nil, err
 		}
-		octets, err := applyTransforms(data, chain, sig, nil)
+		h, _ := HashByDigestURI(opts.DigestMethod)
+		digest, err := digestReference(h, data, chain, sig, nil)
 		if err != nil {
 			return nil, err
 		}
-		h, _ := HashByDigestURI(opts.DigestMethod)
-		hasher := h.New()
-		hasher.Write(octets)
-		refEl.CreateChild(p + ":DigestValue").SetText(base64.StdEncoding.EncodeToString(hasher.Sum(nil)))
+		refEl.CreateChild(p + ":DigestValue").SetText(base64.StdEncoding.EncodeToString(digest))
 
 		si.AppendChild(refEl)
 	}

@@ -1,8 +1,10 @@
 package xmldsig
 
 import (
+	"crypto"
 	"errors"
 	"fmt"
+	"io"
 
 	"discsec/internal/c14n"
 	"discsec/internal/obs"
@@ -13,16 +15,30 @@ import (
 // refData is the intermediate value flowing through a Reference's
 // transform chain: either an XML node-set (a subtree apex, less the
 // Signature the enveloped-signature transform removed) or an octet
-// stream.
+// stream. A canonicalization's octets are not rendered when the step
+// runs: canon marks them as the canonical form of node less without
+// under opts, which the runner streams into the digest and a later
+// step that reads octets renders first.
 type refData struct {
 	node    *xmldom.Element
 	without *xmldom.Element
 	octets  []byte
 	isNode  bool
+	canon   bool
+	opts    c14n.Options
 }
 
 func nodeData(e *xmldom.Element) refData { return refData{node: e, isNode: true} }
 func octetData(b []byte) refData         { return refData{octets: b} }
+
+// bytes returns an octet stream's bytes, rendering a deferred
+// canonicalization.
+func (d refData) bytes() ([]byte, error) {
+	if d.canon {
+		return c14n.CanonicalizeExcept(d.node, d.without, d.opts)
+	}
+	return d.octets, nil
+}
 
 // ExternalResolver dereferences non-same-document Reference URIs
 // (detached signatures over disc files or downloaded resources).
@@ -81,24 +97,42 @@ type transformSpec struct {
 	exceptURIs []string
 }
 
-// applyTransforms runs the chain over the dereferenced data. sigEl is the
-// Signature element under validation, removed by the enveloped-signature
-// transform. The result is always octets: if the chain ends with a
-// node-set, the required default canonicalization (inclusive C14N 1.0
-// without comments) is applied.
-func applyTransforms(data refData, chain []transformSpec, sigEl *xmldom.Element, rec *obs.Recorder) ([]byte, error) {
+// digestReference hashes, under h, the octets the chain makes of the
+// dereferenced data.
+func digestReference(h crypto.Hash, data refData, chain []transformSpec, sigEl *xmldom.Element, rec *obs.Recorder) ([]byte, error) {
+	hasher := h.New()
+	if err := writeTransformed(hasher, data, chain, sigEl, rec); err != nil {
+		return nil, err
+	}
+	return hasher.Sum(nil), nil
+}
+
+// writeTransformed runs the chain over the dereferenced data and writes
+// the resulting octets to w. sigEl is the Signature element under
+// validation, removed by the enveloped-signature transform. A chain
+// that ends with a node-set gets the required default canonicalization
+// (inclusive C14N 1.0 without comments). A canonicalization, explicit
+// or default, streams into w; only octets a step produced or read are
+// ever held whole.
+//
+//discvet:hotpath every reference digest of every fill; the canonical octets go straight into the hash
+func writeTransformed(w io.Writer, data refData, chain []transformSpec, sigEl *xmldom.Element, rec *obs.Recorder) error {
 	cur := data
 	for _, tr := range chain {
 		var err error
 		cur, err = applyTransform(cur, tr, sigEl, rec)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if cur.isNode {
-		return c14n.CanonicalizeExcept(cur.node, cur.without, c14n.Options{Recorder: rec})
+	switch {
+	case cur.isNode:
+		return c14n.WriteExcept(w, cur.node, cur.without, c14n.Options{Recorder: rec})
+	case cur.canon:
+		return c14n.WriteExcept(w, cur.node, cur.without, cur.opts)
 	}
-	return cur.octets, nil
+	_, err := w.Write(cur.octets)
+	return err
 }
 
 func applyTransform(data refData, tr transformSpec, sigEl *xmldom.Element, rec *obs.Recorder) (refData, error) {
@@ -128,17 +162,13 @@ func applyTransform(data refData, tr transformSpec, sigEl *xmldom.Element, rec *
 		opts.InclusivePrefixes = tr.inclusivePrefixes
 		opts.Recorder = rec
 		if !data.isNode {
-			doc, err := xmldom.ParseBytes(data.octets)
+			root, err := parseOctets(data)
 			if err != nil {
-				return refData{}, fmt.Errorf("xmldsig: c14n transform over octets: %w", err)
+				return refData{}, err
 			}
-			data = nodeData(doc.Root())
+			data = nodeData(root)
 		}
-		out, err := c14n.CanonicalizeExcept(data.node, data.without, opts)
-		if err != nil {
-			return refData{}, err
-		}
-		return octetData(out), nil
+		return refData{node: data.node, without: data.without, canon: true, opts: opts}, nil
 
 	case xmlsecuri.TransformDecryptXML:
 		// The Decryption Transform is executed by the player pipeline
@@ -153,17 +183,49 @@ func applyTransform(data refData, tr transformSpec, sigEl *xmldom.Element, rec *
 		if data.isNode {
 			text = data.node.Text()
 		} else {
-			text = string(data.octets)
+			octets, err := data.bytes()
+			if err != nil {
+				return refData{}, err
+			}
+			text = string(octets)
 		}
 		decoded, err := xmldom.DecodeBase64(text)
 		if err != nil {
-			return refData{}, fmt.Errorf("xmldsig: base64 transform: %w", err)
+			return refData{}, wrapTransformErr("base64 transform", err)
 		}
 		return octetData(decoded), nil
 
 	default:
-		return refData{}, fmt.Errorf("%w: transform %q", ErrUnsupportedAlgorithm, tr.algorithm)
+		return refData{}, errUnsupportedTransform(tr.algorithm)
 	}
+}
+
+// parseOctets parses an octet stream a canonicalization transform
+// reads as XML: a detached document, or a previous step's output.
+// Building the tree allocates by nature. A same-document reference
+// comes this way only through a chain that canonicalizes twice.
+//
+//discvet:coldpath canonicalization over octets re-parses them; the tree build allocates
+func parseOctets(data refData) (*xmldom.Element, error) {
+	octets, err := data.bytes()
+	if err != nil {
+		return nil, err
+	}
+	doc, err := xmldom.ParseBytes(octets)
+	if err != nil {
+		return nil, wrapTransformErr("c14n transform over octets", err)
+	}
+	return doc.Root(), nil
+}
+
+//discvet:coldpath error path
+func wrapTransformErr(what string, err error) error {
+	return fmt.Errorf("xmldsig: %s: %w", what, err)
+}
+
+//discvet:coldpath error path
+func errUnsupportedTransform(alg string) error {
+	return fmt.Errorf("%w: transform %q", ErrUnsupportedAlgorithm, alg)
 }
 
 // Processing limits guarding verification against maliciously shaped

@@ -285,13 +285,10 @@ func verifyReference(doc *xmldom.Document, sig, refEl *xmldom.Element, opts Veri
 	if err != nil {
 		return ReferenceResult{}, err
 	}
-	octets, err := applyTransforms(data, chain, sig, opts.Recorder)
+	got, err := digestReference(h, data, chain, sig, opts.Recorder)
 	if err != nil {
 		return ReferenceResult{}, err
 	}
-	hasher := h.New()
-	hasher.Write(octets)
-	got := hasher.Sum(nil)
 	rr := ReferenceResult{URI: uri, Valid: subtle.ConstantTimeCompare(got, want) == 1, Digest: got}
 	if !rr.Valid {
 		return rr, fmt.Errorf("%w: URI %q", ErrDigestMismatch, uri)

@@ -269,6 +269,9 @@ func FuzzTokenizerDifferential(f *testing.F) {
 	for _, s := range tokenizerSeeds {
 		f.Add([]byte(s))
 	}
+	for _, s := range wordSkipSeeds {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkAgainstOracle(t, data, Options{})
 		checkAgainstOracle(t, data, Options{MaxDepth: 3, MaxTokens: 12})

@@ -2,8 +2,10 @@ package xmlstream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math/bits"
 	"strings"
 	"unicode/utf8"
 )
@@ -601,17 +603,13 @@ func declParam(data []byte, param string) string {
 
 // chars scans one run of character data starting at pos — a text run
 // up to the next '<', or with cdata the body of a CDATA section up to
-// "]]>" — and hands it to the handlers. Plain bytes are passed over by
-// one table lookup each; only references and CRs copy, into p.text.
+// "]]>" — and hands it to the handlers. Plain bytes are passed over a
+// word at a time (charsRun); only references and CRs copy, into p.text.
 // Pieces are handed on when the window runs out or p.text fills, so
 // the run is delivered as one or more chunks.
 func (p *parser) chars(cdata bool) error {
 	if err := p.token(); err != nil {
 		return err
-	}
-	class := &textClass
-	if cdata {
-		class = &cdataClass
 	}
 	p.text = p.text[:0]
 	sent := false // a chunk of this run has been handed on
@@ -621,9 +619,7 @@ func (p *parser) chars(cdata bool) error {
 		seg := i // start of the bytes not yet copied or handed on
 	scan:
 		for {
-			for i < len(b) && class[b[i]] == 0 {
-				i++
-			}
+			i = charsRun(b, i, cdata)
 			if i == len(b) {
 				break
 			}
@@ -718,6 +714,65 @@ func (p *parser) chars(cdata bool) error {
 			return p.endChars(nil, sent)
 		}
 	}
+}
+
+// Word-at-a-time constants: a byte's lowest and highest bit in each of
+// the eight lanes of a uint64.
+const (
+	lanesLow  = 0x0101010101010101
+	lanesHigh = 0x8080808080808080
+)
+
+// charsRun returns the index of the first byte at or after i that the
+// text class (with cdata, the CDATA class) marks, or len(b). Clean runs
+// are passed over eight bytes at a time. A word is suspect when a lane
+// holds a byte >= 0x80, a control byte (below 0x20, which covers CR),
+// or a delimiter: ']', and outside CDATA '<' and '&'. Each test sets
+// the high bit of the lowest lane it matches exactly (a borrow only
+// marks lanes above a true match), so the trailing-zero count finds the
+// first suspect byte; the table settles it, since TAB and LF are
+// control bytes the classes pass.
+//
+//discvet:hotpath the scanner's inner loop over all character data
+func charsRun(b []byte, i int, cdata bool) int {
+	class := &textClass
+	if cdata {
+		class = &cdataClass
+	}
+	for i+8 <= len(b) {
+		x := binary.LittleEndian.Uint64(b[i:])
+		m := x&lanesHigh | (x-0x20*lanesLow)&^x&lanesHigh | LanesHolding(x, ']')
+		if !cdata {
+			m |= LanesHolding(x, '<') | LanesHolding(x, '&')
+		}
+		if m == 0 {
+			i += 8
+			continue
+		}
+		if i += bits.TrailingZeros64(m) >> 3; class[b[i]] != 0 {
+			return i
+		}
+		i++
+	}
+	for i < len(b) && class[b[i]] == 0 {
+		i++
+	}
+	return i
+}
+
+// LanesHolding is the word-skip primitive of the scanner and of the
+// canonicalizer's escaping. It sets the high bit of the lowest of the
+// eight byte lanes of x that holds c (and possibly of lanes above it),
+// and is zero when no lane does.
+// A lane of v is zero where x holds c, and (v-lanesLow)&^v&lanesHigh
+// marks the lowest zero lane exactly (a borrow only marks lanes above a
+// true zero), so bits.TrailingZeros64 of the result, shifted right by
+// three, is the index of the first such byte.
+//
+//discvet:hotpath word-skip primitive
+func LanesHolding(x uint64, c byte) uint64 {
+	v := x ^ uint64(c)*lanesLow
+	return (v - lanesLow) &^ v & lanesHigh
 }
 
 // endChars hands on the last piece of a run. A run that fits the window
