@@ -68,14 +68,17 @@ chaos:
 # against the encoding/xml reference tokenizer, the canonicalizer core
 # (DOM walk, every subset apex) and its token-fed form against the
 # reference tree walker, the streaming digest against the DOM
-# pipeline (see DESIGN.md §14), and the shared base64 decoder against
-# strip-then-decode with the standard library.
+# pipeline (see DESIGN.md §14), the shared base64 decoder against
+# strip-then-decode with the standard library, and verification with
+# the signature memo warm against verification with every memo reset
+# (mutated SignedInfo, SignatureValue and KeyInfo; see DESIGN.md §11).
 fuzz-smoke:
 	$(GO) test ./internal/xmlstream -run '^$$' -fuzz '^FuzzTokenizerDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/c14n -run '^$$' -fuzz '^FuzzCanonicalize$$' -fuzztime 15s
 	$(GO) test ./internal/c14n -run '^$$' -fuzz '^FuzzStreamDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/xmldsig -run '^$$' -fuzz '^FuzzDigestDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/xmldom -run '^$$' -fuzz '^FuzzBase64Text$$' -fuzztime 15s
+	$(GO) test ./internal/xmldsig -run '^$$' -fuzz '^FuzzSignatureMemoDifferential$$' -fuzztime 15s
 
 # The full gate CI runs on every change.
 check: build lint lint-baseline race faults chaos fuzz-smoke metrics library-bench stream-bench cluster-bench

@@ -43,7 +43,7 @@ go test -race ./internal/analysis/...
 (cd cmd/discbench/suite && GOFLAGS= GOPROXY=off GOWORK=off go test ./...)
 make faults
 make chaos
-# Five differential fuzz targets, 15 s each (see the Makefile).
+# Six differential fuzz targets, 15 s each (see the Makefile).
 make fuzz-smoke
 make metrics
 make library-bench

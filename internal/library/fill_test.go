@@ -8,6 +8,7 @@ import (
 	"discsec/internal/core"
 	"discsec/internal/experiments"
 	"discsec/internal/library"
+	"discsec/internal/obs"
 	"discsec/internal/workload"
 	"discsec/internal/xmldsig"
 	"discsec/internal/xmlenc"
@@ -42,40 +43,67 @@ func fillDoc(b *testing.B, stmts int) []byte {
 // parse, decryption transform, reference digests, key resolution,
 // chain and signature validation, decryption and the model decode, at
 // four manifest sizes (stmts=60 is about 6 KiB, lib-cold's mean
-// document). Before every iteration, outside the timed
-// region, the library forgets its verdicts, so every open misses and
-// fills. signer-cold also forgets every memo (canonical key, parsed
-// certificates, validated chains): a signer's first document.
-// signer-warm keeps them: a further document of a known signer, which
-// is what lib-cold's fills are.
+// document). Before every iteration, outside the timed region, the
+// library forgets its verdicts, so every open misses and fills.
+// signer-cold also forgets every memo (canonical key, parsed
+// certificates, validated chains, checked signatures): a signer's first
+// document. signer-warm forgets them too, then opens another document
+// of the same signer, so the timed fill finds the certificates and the
+// chain memoized but keys its bytes and verifies its signature afresh:
+// a further document of a known signer. refill keeps every memo: a
+// document the process verified before, which is what lib-cold's fills
+// are.
 func BenchmarkFill(b *testing.B) {
 	ctx := context.Background()
-	for _, signer := range []string{"signer-cold", "signer-warm"} {
+	for _, row := range []string{"signer-cold", "signer-warm", "refill"} {
 		for _, stmts := range []int{20, 60, 200, 2000} {
 			raw := fillDoc(b, stmts)
-			cold := signer == "signer-cold"
-			b.Run(fmt.Sprintf("%s/stmts=%d", signer, stmts), func(b *testing.B) {
+			other := fillDoc(b, stmts+1)
+			b.Run(fmt.Sprintf("%s/stmts=%d", row, stmts), func(b *testing.B) {
 				lib := newLib(nil)
-				open := func() {
+				open := func(raw []byte) {
 					if _, st, err := lib.OpenDocument(ctx, raw); err != nil || st != library.StatusMiss {
 						b.Fatalf("fill: status=%q err=%v", st, err)
 					}
 				}
-				open()
+				open(raw)
 				b.SetBytes(int64(len(raw)))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					lib.InvalidateAll()
-					if cold {
+					if row != "refill" {
 						library.ResetKeyMemo()
 						xmldsig.ResetMemos()
 					}
+					if row == "signer-warm" {
+						open(other)
+					}
 					b.StartTimer()
-					open()
+					open(raw)
 				}
 			})
 		}
+	}
+}
+
+// TestRefillHitsSignatureMemo: a verdict refilled after invalidation
+// verifies its signature from the signature memo, and the recorder
+// counts the hit.
+func TestRefillHitsSignatureMemo(t *testing.T) {
+	ctx := context.Background()
+	raw := indexBytes(t, buildImage(t, 1))
+	rec := obs.NewRecorder()
+	lib := newLib(rec)
+	xmldsig.ResetMemos()
+	for i, want := range []int64{0, 1} {
+		if _, st, err := lib.OpenDocument(ctx, raw); err != nil || st != library.StatusMiss {
+			t.Fatalf("fill %d: status=%q err=%v", i, st, err)
+		}
+		if got := rec.Counter("xmldsig.sig_memo_hit"); got != want {
+			t.Fatalf("fill %d: sig_memo_hit = %d, want %d", i, got, want)
+		}
+		lib.InvalidateAll()
 	}
 }

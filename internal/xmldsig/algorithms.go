@@ -102,30 +102,28 @@ func computeSignatureValue(method string, signedInfo []byte, key crypto.Signer, 
 	}
 }
 
-// verifySignatureValue checks sig over the canonicalized SignedInfo.
-func verifySignatureValue(method string, signedInfo, sig []byte, pub crypto.PublicKey, hmacKey []byte) error {
+// verifyHMAC checks the MAC sig over the canonicalized SignedInfo.
+func verifyHMAC(method string, signedInfo, sig, hmacKey []byte) error {
 	h, err := hashBySignatureURI(method)
 	if err != nil {
 		return err
 	}
-
-	switch method {
-	case xmlsecuri.SigHMACSHA1, xmlsecuri.SigHMACSHA256:
-		if hmacKey == nil {
-			return errors.New("xmldsig: HMAC verification requires the shared key")
-		}
-		mac := hmac.New(h.New, hmacKey)
-		mac.Write(signedInfo)
-		if !hmac.Equal(mac.Sum(nil), sig) {
-			return errors.New("xmldsig: HMAC signature mismatch")
-		}
-		return nil
+	if hmacKey == nil {
+		return errors.New("xmldsig: HMAC verification requires the shared key")
 	}
+	mac := hmac.New(h.New, hmacKey)
+	mac.Write(signedInfo)
+	if !hmac.Equal(mac.Sum(nil), sig) {
+		return errors.New("xmldsig: HMAC signature mismatch")
+	}
+	return nil
+}
 
-	hasher := h.New()
-	hasher.Write(signedInfo)
-	digest := hasher.Sum(nil)
-
+// verifySignatureValue checks the asymmetric signature sig over digest,
+// the hash h of the canonicalized SignedInfo that method names. It is a
+// pure function of its arguments, which is what lets Verify memoize its
+// successes.
+func verifySignatureValue(method string, h crypto.Hash, digest, sig []byte, pub crypto.PublicKey) error {
 	switch method {
 	case xmlsecuri.SigRSASHA1, xmlsecuri.SigRSASHA256, xmlsecuri.SigRSASHA512:
 		rsaPub, ok := pub.(*rsa.PublicKey)
@@ -144,7 +142,7 @@ func verifySignatureValue(method string, signedInfo, sig []byte, pub crypto.Publ
 		if !ok {
 			return fmt.Errorf("xmldsig: %s requires an ECDSA public key, have %T", method, pub)
 		}
-		r, s, err := unmarshalECDSAXMLSig(sig)
+		r, s, err := unmarshalECDSAXMLSig(sig, ecPub.Curve.Params().BitSize)
 		if err != nil {
 			return err
 		}
@@ -167,10 +165,14 @@ func marshalECDSAXMLSig(r, s *big.Int, curveBits int) []byte {
 	return out
 }
 
-func unmarshalECDSAXMLSig(sig []byte) (r, s *big.Int, err error) {
-	if len(sig) == 0 || len(sig)%2 != 0 {
-		return nil, nil, fmt.Errorf("xmldsig: malformed ECDSA signature value length %d", len(sig))
+// unmarshalECDSAXMLSig decodes the raw r||s form. XML-DSig 1.1 §6.4.3
+// fixes each integer at the curve octet length (I2OSP with l = 32 for
+// P-256), so any other length is malformed: a zero-padded 00||r||00||s
+// would otherwise verify as a second encoding of the same signature.
+func unmarshalECDSAXMLSig(sig []byte, curveBits int) (r, s *big.Int, err error) {
+	octets := (curveBits + 7) / 8
+	if len(sig) != 2*octets {
+		return nil, nil, fmt.Errorf("xmldsig: ECDSA signature value is %d octets, want %d", len(sig), 2*octets)
 	}
-	half := len(sig) / 2
-	return new(big.Int).SetBytes(sig[:half]), new(big.Int).SetBytes(sig[half:]), nil
+	return new(big.Int).SetBytes(sig[:octets]), new(big.Int).SetBytes(sig[octets:]), nil
 }

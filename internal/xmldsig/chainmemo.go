@@ -60,13 +60,14 @@ func parseCertificate(der []byte) (*parsedCert, [sha256.Size]byte, error) {
 	return pc, sum, nil
 }
 
-// ResetMemos forgets every memoized certificate parse and chain
-// validation. No verification result depends on the memos; this lets
-// benchmarks and tests outside the package time and check a signer's
-// first document.
+// ResetMemos forgets every memoized certificate parse, chain validation
+// and signature check. No verification result depends on the memos;
+// this lets benchmarks and tests outside the package time and check a
+// signer's first document.
 func ResetMemos() {
 	certMemo.Reset()
 	chainMemo.Reset()
+	sigMemo.Reset()
 }
 
 // chainKey names one chain-validation question: does this exact

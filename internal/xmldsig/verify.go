@@ -85,20 +85,17 @@ type VerifyResult struct {
 	// chain was validated against the configured roots.
 	CertificateChainValidated bool
 
-	// signerFingerprint is the leaf's memoized fingerprint when
-	// SignerKey is the embedded leaf's key, else "".
+	// signerFingerprint is KeyFingerprint(SignerKey), computed once
+	// during verification: the leaf's memoized fingerprint when SignerKey
+	// is the embedded leaf's key.
 	signerFingerprint string
 }
 
-// SignerKeyFingerprint returns KeyFingerprint(r.SignerKey). For a key
-// from an embedded leaf certificate it is the fingerprint computed once,
-// when the certificate was first parsed.
-func (r *VerifyResult) SignerKeyFingerprint() string {
-	if r.signerFingerprint != "" {
-		return r.signerFingerprint
-	}
-	return KeyFingerprint(r.SignerKey)
-}
+// SignerKeyFingerprint returns KeyFingerprint(r.SignerKey), as Verify
+// computed it to key the signature memo. For a key from an embedded
+// leaf certificate it is the fingerprint computed once, when the
+// certificate was first parsed.
+func (r *VerifyResult) SignerKeyFingerprint() string { return r.signerFingerprint }
 
 // FindSignature locates the first ds:Signature element in the document.
 func FindSignature(doc *xmldom.Document) *xmldom.Element {
@@ -237,7 +234,7 @@ func Verify(doc *xmldom.Document, sig *xmldom.Element, opts VerifyOptions) (*Ver
 	result.CertificateChainValidated = chainValidated
 
 	if isHMACMethod(sigMethod) {
-		if err := verifySignatureValue(sigMethod, siOctets, sigVal, nil, opts.HMACKey); err != nil {
+		if err := verifyHMAC(sigMethod, siOctets, sigVal, opts.HMACKey); err != nil {
 			return result, fmt.Errorf("%w: %v", ErrSignatureInvalid, err)
 		}
 		return result, nil
@@ -245,14 +242,16 @@ func Verify(doc *xmldom.Document, sig *xmldom.Element, opts VerifyOptions) (*Ver
 	if pub == nil {
 		return result, ErrNoVerificationKey
 	}
-	if err := verifySignatureValue(sigMethod, siOctets, sigVal, pub, nil); err != nil {
+	fp := ki.leafFingerprint
+	if opts.Key != nil || len(ki.Certificates) == 0 {
+		// resolveVerificationKey did not take the leaf's key.
+		fp = KeyFingerprint(pub)
+	}
+	if err := checkSignatureValue(sigMethod, siOctets, sigVal, pub, fp, opts.Recorder); err != nil {
 		return result, fmt.Errorf("%w: %v", ErrSignatureInvalid, err)
 	}
 	result.SignerKey = pub
-	if opts.Key == nil && len(ki.Certificates) > 0 {
-		// resolveVerificationKey took the leaf's key.
-		result.signerFingerprint = ki.leafFingerprint
-	}
+	result.signerFingerprint = fp
 	return result, nil
 }
 

@@ -1,11 +1,13 @@
 package xmldsig
 
 import (
+	"bytes"
 	"crypto"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/rsa"
+	"encoding/base64"
 	"errors"
 	"strings"
 	"testing"
@@ -391,5 +393,47 @@ func TestECDSASignatureValueFormat(t *testing.T) {
 	// P-256: r||s = 64 octets, not ASN.1 DER.
 	if len(raw) != 64 {
 		t.Errorf("ECDSA signature value length = %d, want 64 (raw r||s)", len(raw))
+	}
+}
+
+// TestECDSASignatureValueLength: XML-DSig 1.1 §6.4.3 fixes a P-256
+// SignatureValue at 64 octets. Any other length fails, the zero-padded
+// 00||r||00||s included, with the memo cold and warm alike.
+func TestECDSASignatureValueLength(t *testing.T) {
+	doc := parseDoc(t, manifestXML)
+	if _, err := SignEnveloped(doc, nil, SignOptions{Key: testECDSAKey}); err != nil {
+		t.Fatal(err)
+	}
+	original := doc.Root().String()
+	const open, end = "<ds:SignatureValue>", "</ds:SignatureValue>"
+	i := strings.Index(original, open) + len(open)
+	j := strings.Index(original, end)
+	raw, err := base64.StdEncoding.DecodeString(original[i:j])
+	if err != nil || len(raw) != 64 {
+		t.Fatalf("setup: SignatureValue %d octets, err %v", len(raw), err)
+	}
+	r, s := raw[:32], raw[32:]
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, tc := range []struct {
+		name  string
+		value []byte
+		ok    bool
+	}{
+		{"64", raw, true},
+		{"62", cat(r[1:], s[1:]), false},
+		{"66-zero-padded", cat([]byte{0}, r, []byte{0}, s), false},
+		{"65", cat(raw, []byte{0}), false},
+		{"0", nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			attacked := original[:i] + base64.StdEncoding.EncodeToString(tc.value) + original[j:]
+			v := checkMemoNeutral(t, original, attacked, VerifyOptions{Key: testECDSAKey.Public()})
+			if tc.ok && v.err != "" {
+				t.Fatalf("verify: %s", v.err)
+			}
+			if !tc.ok && !strings.HasPrefix(v.err, ErrSignatureInvalid.Error()) {
+				t.Fatalf("verdict %v, want %v", v, ErrSignatureInvalid)
+			}
+		})
 	}
 }
