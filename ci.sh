@@ -41,6 +41,9 @@ go test -race ./internal/analysis/...
 # The benchmark suite is a module of its own, so the root `go test ./...`
 # never builds it; its smoke test catches an API change that breaks it.
 (cd cmd/discbench/suite && GOFLAGS= GOPROXY=off GOWORK=off go test ./...)
+# The five end-to-end examples read the public session and verdict API
+# that no package test compiles against.
+make examples
 make faults
 make chaos
 # Six differential fuzz targets, 15 s each (see the Makefile).

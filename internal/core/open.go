@@ -64,7 +64,9 @@ type SignatureReport struct {
 
 // OpenResult is the outcome of processing a protected document.
 type OpenResult struct {
-	// Doc is the fully decrypted, verified document.
+	// Doc is the fully decrypted, verified document; the caller of
+	// Open* owns it. It is nil in library verdicts and player sessions,
+	// which keep only the decoded model.
 	Doc *xmldom.Document
 	// Signatures reports each validated signature.
 	Signatures []SignatureReport

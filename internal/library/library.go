@@ -8,7 +8,9 @@
 // security overhead (2.5–5.1x over binary per reference [37]) meets the
 // ROADMAP's millions-of-concurrent-users target. The library
 // amortizes that cost safely: a sharded, byte-budgeted LRU cache whose
-// entries are complete core.OpenResult verdicts, keyed by the triple
+// entries are verdicts — the decoded content model and the
+// core.OpenResult security report, without the verified tree — keyed
+// by the triple
 //
 //	(exclusive-C14N digest, signer-key fingerprint, trust epoch)
 //
@@ -50,7 +52,6 @@ import (
 	"discsec/internal/keymgmt"
 	"discsec/internal/obs"
 	"discsec/internal/resilience"
-	"discsec/internal/xmldom"
 )
 
 // Status classifies how one open was served.
@@ -98,13 +99,13 @@ var (
 	ErrDependencyDown = errors.New("library: dependency down; cold fill refused")
 )
 
-// Verdict is one fully verified, immutable cache entry: the decrypted
-// document, its decoded content hierarchy, and the security report.
-// Verdicts are shared read-only across sessions — callers must not
-// mutate Doc or Cluster (clone first).
+// Verdict is one fully verified, immutable cache entry: the decoded
+// content hierarchy and the security report. The verified tree is
+// dropped once the model is decoded (Result.Doc is nil), so a resident
+// verdict keeps no more heap than it is charged against the byte
+// budget. Verdicts are shared read-only across sessions — callers must
+// not mutate Cluster (clone first).
 type Verdict struct {
-	// Doc is the verified, decrypted document.
-	Doc *xmldom.Document
 	// Cluster is the decoded content hierarchy.
 	Cluster *disc.InteractiveCluster
 	// Result is the full security report of the fill verification.
@@ -468,6 +469,9 @@ func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, raw [
 		if err != nil {
 			return nil, fmt.Errorf("library: decode cluster: %w", err)
 		}
+		// The model shares nothing with the tree; holding the tree would
+		// keep heap the byte budget does not charge.
+		res.Doc = nil
 		// Probe degradation after verification: that is when the trust
 		// client knows whether it answered from live service or stale
 		// cache. A verdict filled on stale revocation data is tainted
@@ -475,7 +479,6 @@ func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, raw [
 		degradedFill := l.degraded != nil && l.degraded()
 
 		v := &Verdict{
-			Doc:         res.Doc,
 			Cluster:     cluster,
 			Result:      res,
 			Key:         key,

@@ -198,6 +198,37 @@ func TestUnsignedDocumentBypassesCache(t *testing.T) {
 	}
 }
 
+// TestVerdictsHoldNoTree: no verdict keeps the verified tree alive —
+// not a filled one, not the same one served as a hit, and not an
+// uncached unsigned one.
+func TestVerdictsHoldNoTree(t *testing.T) {
+	ctx := context.Background()
+	op := testOpener()
+	op.RequireSignature = false
+	lib := library.New(library.WithOpener(op))
+	signed := indexBytes(t, buildImage(t, 1))
+	unsigned, _ := workload.Cluster(workload.ClusterSpec{AppTracks: 1, Seed: 3})
+	for _, tc := range []struct {
+		raw  []byte
+		want library.Status
+	}{
+		{signed, library.StatusMiss},
+		{signed, library.StatusHit},
+		{unsigned.Document().Bytes(), library.StatusBypass},
+	} {
+		v, st, err := lib.OpenDocument(ctx, tc.raw)
+		if err != nil || st != tc.want {
+			t.Fatalf("status = %q err = %v, want %q", st, err, tc.want)
+		}
+		if v.Result.Doc != nil {
+			t.Errorf("%s verdict pins the verified tree", st)
+		}
+		if v.Cluster == nil {
+			t.Errorf("%s verdict has no model", st)
+		}
+	}
+}
+
 func TestByteBudgetEvicts(t *testing.T) {
 	rec := obs.NewRecorder()
 	raw := indexBytes(t, buildImage(t, 4))

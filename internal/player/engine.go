@@ -56,7 +56,7 @@ type Engine struct {
 	// Roots/DecryptKeys/RequireSignature/KeyByName for loads) — one
 	// trust config per cache is what makes sharing verdicts between
 	// engines sound. Sessions built from library verdicts share the
-	// verified document and cluster read-only.
+	// decoded cluster and security report read-only.
 	Library *library.Library
 }
 
@@ -64,8 +64,6 @@ type Engine struct {
 type Session struct {
 	// Cluster is the decoded content hierarchy.
 	Cluster *disc.InteractiveCluster
-	// Doc is the verified cluster document.
-	Doc *xmldom.Document
 	// Image is the backing disc image (nil for bare documents).
 	Image *disc.Image
 	// OpenResult reports the security processing.
@@ -136,7 +134,7 @@ func (e *Engine) loadFrom(ctx context.Context, rec *obs.Recorder, r io.Reader) (
 		if err != nil {
 			return nil, fmt.Errorf("player: security processing: %w", err)
 		}
-		return &Session{Cluster: v.Cluster, Doc: v.Doc, OpenResult: v.Result, engine: e, rec: rec}, nil
+		return &Session{Cluster: v.Cluster, OpenResult: v.Result, engine: e, rec: rec}, nil
 	}
 	opener := &core.Opener{
 		Roots:            e.Roots,
@@ -152,7 +150,10 @@ func (e *Engine) loadFrom(ctx context.Context, rec *obs.Recorder, r io.Reader) (
 	if err != nil {
 		return nil, fmt.Errorf("player: decode cluster: %w", err)
 	}
-	return &Session{Cluster: cluster, Doc: res.Doc, OpenResult: res, engine: e, rec: rec}, nil
+	// The session runs the model, not the tree; like a library verdict,
+	// it does not keep the tree alive.
+	res.Doc = nil
+	return &Session{Cluster: cluster, OpenResult: res, engine: e, rec: rec}, nil
 }
 
 // Verified reports whether the session's content passed signature

@@ -90,3 +90,33 @@ func TestEngineLibraryFailsClosed(t *testing.T) {
 		t.Fatalf("unsigned disc loaded through strict library (err=%v)", err)
 	}
 }
+
+// TestSessionsHoldNoTree: no session keeps the verified tree alive,
+// whether it was built from a library verdict (miss or hit) or verified
+// by the engine itself; it runs the decoded model.
+func TestSessionsHoldNoTree(t *testing.T) {
+	im := buildImage(t, true)
+	lib := library.New(library.WithOpener(core.Opener{
+		Roots:            rootCA.Pool(),
+		RequireSignature: true,
+	}))
+	for _, tc := range []struct {
+		name string
+		e    *Engine
+	}{
+		{"library-miss", NewEngine(WithLibrary(lib))},
+		{"library-hit", NewEngine(WithLibrary(lib))},
+		{"direct", newEngine()},
+	} {
+		sess, err := tc.e.Load(context.Background(), im)
+		if err != nil {
+			t.Fatalf("%s: load: %v", tc.name, err)
+		}
+		if sess.OpenResult.Doc != nil {
+			t.Errorf("%s: session pins the verified tree", tc.name)
+		}
+		if sess.Cluster.FindTrack("t-game") == nil {
+			t.Errorf("%s: session model lost its application track", tc.name)
+		}
+	}
+}

@@ -76,16 +76,18 @@ func encryptOctets(algorithm string, key, plaintext []byte) ([]byte, error) {
 	}
 }
 
-// decryptOctets reverses encryptOctets.
-func decryptOctets(algorithm string, key, payload []byte) ([]byte, error) {
+// decryptOctets reverses encryptOctets. With inPlace the plaintext
+// overwrites the ciphertext in payload, which the caller must own;
+// otherwise payload is left unchanged.
+func decryptOctets(algorithm string, key, payload []byte, inPlace bool) ([]byte, error) {
 	if err := checkKeyLen(algorithm, key); err != nil {
 		return nil, err
 	}
 	switch algorithm {
 	case xmlsecuri.EncAES128CBC, xmlsecuri.EncAES192CBC, xmlsecuri.EncAES256CBC:
-		return decryptCBC(key, payload)
+		return decryptCBC(key, payload, inPlace)
 	case xmlsecuri.EncAES128GCM, xmlsecuri.EncAES256GCM:
-		return decryptGCM(key, payload)
+		return decryptGCM(key, payload, inPlace)
 	default:
 		return nil, fmt.Errorf("%w: block encryption %q", ErrUnsupportedAlgorithm, algorithm)
 	}
@@ -128,7 +130,7 @@ func encryptCBC(key, plaintext []byte) ([]byte, error) {
 	return out, nil
 }
 
-func decryptCBC(key, payload []byte) ([]byte, error) {
+func decryptCBC(key, payload []byte, inPlace bool) ([]byte, error) {
 	block, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, err
@@ -138,7 +140,10 @@ func decryptCBC(key, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: CBC payload length %d", ErrDecryptionFailed, len(payload))
 	}
 	iv, ct := payload[:bs], payload[bs:]
-	pt := make([]byte, len(ct))
+	pt := ct
+	if !inPlace {
+		pt = make([]byte, len(ct))
+	}
 	cipher.NewCBCDecrypter(block, iv).CryptBlocks(pt, ct)
 	padLen := int(pt[len(pt)-1])
 	if padLen < 1 || padLen > bs || padLen > len(pt) {
@@ -165,7 +170,7 @@ func encryptGCM(key, plaintext []byte) ([]byte, error) {
 	return gcm.Seal(iv, iv, plaintext, nil), nil
 }
 
-func decryptGCM(key, payload []byte) ([]byte, error) {
+func decryptGCM(key, payload []byte, inPlace bool) ([]byte, error) {
 	block, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, err
@@ -178,7 +183,11 @@ func decryptGCM(key, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: GCM payload too short", ErrDecryptionFailed)
 	}
 	iv, ct := payload[:gcm.NonceSize()], payload[gcm.NonceSize():]
-	pt, err := gcm.Open(nil, iv, ct, nil)
+	var dst []byte
+	if inPlace {
+		dst = ct[:0]
+	}
+	pt, err := gcm.Open(dst, iv, ct, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrDecryptionFailed, err)
 	}

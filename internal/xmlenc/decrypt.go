@@ -76,7 +76,7 @@ func DecryptOctets(ed *xmldom.Element, opts DecryptOptions) ([]byte, error) {
 	}
 	algorithm := em.AttrValue("Algorithm")
 
-	payload, err := cipherPayload(ed, opts)
+	payload, owned, err := cipherPayload(ed, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +84,7 @@ func DecryptOctets(ed *xmldom.Element, opts DecryptOptions) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decryptOctets(algorithm, key, payload)
+	return decryptOctets(algorithm, key, payload, owned)
 }
 
 // DecryptElement decrypts an EncryptedData of Type Element or Content in
@@ -151,30 +151,34 @@ func DecryptAll(doc *xmldom.Document, opts DecryptOptions) (int, error) {
 }
 
 // cipherPayload extracts the raw ciphertext of an EncryptedData from
-// either an inline CipherValue or an external CipherReference.
-func cipherPayload(ed *xmldom.Element, opts DecryptOptions) ([]byte, error) {
+// either an inline CipherValue or an external CipherReference. owned
+// reports that the payload was decoded into a fresh buffer the caller
+// may decrypt in place; a resolver's bytes belong to the resolver (a
+// disc image, say) and are never owned.
+func cipherPayload(ed *xmldom.Element, opts DecryptOptions) (payload []byte, owned bool, err error) {
 	cd := ed.FirstChildNamed(xmlsecuri.EncNamespace, "CipherData")
 	if cd == nil {
-		return nil, errors.New("xmlenc: EncryptedData missing CipherData")
+		return nil, false, errors.New("xmlenc: EncryptedData missing CipherData")
 	}
 	if cv := cd.FirstChildNamed(xmlsecuri.EncNamespace, "CipherValue"); cv != nil {
-		return xmldom.DecodeBase64(cv.Text())
+		payload, err := xmldom.DecodeBase64(cv.Text())
+		return payload, true, err
 	}
 	if cr := cd.FirstChildNamed(xmlsecuri.EncNamespace, "CipherReference"); cr != nil {
 		uri, ok := cr.Attr("URI")
 		if !ok {
-			return nil, errors.New("xmlenc: CipherReference missing URI")
+			return nil, false, errors.New("xmlenc: CipherReference missing URI")
 		}
 		if opts.CipherResolver == nil {
-			return nil, fmt.Errorf("xmlenc: no resolver configured for CipherReference %q", uri)
+			return nil, false, fmt.Errorf("xmlenc: no resolver configured for CipherReference %q", uri)
 		}
 		payload, err := opts.CipherResolver(uri)
 		if err != nil {
-			return nil, fmt.Errorf("xmlenc: CipherReference %q: %w", uri, err)
+			return nil, false, fmt.Errorf("xmlenc: CipherReference %q: %w", uri, err)
 		}
-		return payload, nil
+		return payload, false, nil
 	}
-	return nil, errors.New("xmlenc: CipherData has neither CipherValue nor CipherReference")
+	return nil, false, errors.New("xmlenc: CipherData has neither CipherValue nor CipherReference")
 }
 
 // resolveContentKey recovers the content-encryption key from the

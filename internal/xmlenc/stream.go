@@ -201,7 +201,7 @@ func decryptGCMTo(dst io.Writer, key []byte, src io.Reader) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("xmlenc: reading ciphertext: %w", err)
 	}
-	pt, err := decryptGCM(key, payload)
+	pt, err := decryptGCM(key, payload, true) // ReadAll's buffer is ours
 	if err != nil {
 		return 0, err
 	}

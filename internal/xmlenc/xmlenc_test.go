@@ -440,7 +440,7 @@ func TestOctetRoundTripProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			pt, err := decryptOctets(alg, k, ct)
+			pt, err := decryptOctets(alg, k, ct, false)
 			return err == nil && bytes.Equal(pt, data)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -531,6 +531,36 @@ func TestCipherReference(t *testing.T) {
 		CipherResolver: func(string) ([]byte, error) { return bad, nil },
 	}); !errors.Is(err, ErrDecryptionFailed) {
 		t.Errorf("corrupted reference err = %v", err)
+	}
+}
+
+// TestDecryptLeavesResolverPayloadUnchanged: an inline CipherValue is
+// decrypted in the buffer its base64 decode allocated, but bytes a
+// CipherResolver returns belong to the resolver (disc-image bytes, say)
+// and must come back exactly as they went in.
+func TestDecryptLeavesResolverPayloadUnchanged(t *testing.T) {
+	payload := []byte("transport stream payload kept outside the markup, two blocks and more")
+	for _, alg := range []string{xmlsecuri.EncAES128CBC, xmlsecuri.EncAES256GCM} {
+		n, _ := KeySize(alg)
+		k := key(n)
+		doc, ciphertext, err := EncryptOctetsToReference(payload, "disc://CLIPS/clip-1.enc", EncryptOptions{Algorithm: alg, Key: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := append([]byte(nil), ciphertext...)
+		pt, err := DecryptOctets(doc.Root(), DecryptOptions{
+			Key:            k,
+			CipherResolver: func(string) ([]byte, error) { return ciphertext, nil },
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		if !bytes.Equal(pt, payload) {
+			t.Errorf("%s: round trip mismatch", alg)
+		}
+		if !bytes.Equal(ciphertext, held) {
+			t.Errorf("%s: decryption wrote into the resolver's payload", alg)
+		}
 	}
 }
 
