@@ -64,14 +64,15 @@ chaos:
 		./internal/health/ ./internal/faults/ ./internal/resilience/ \
 		./internal/keymgmt/ ./internal/library/ ./internal/server/ ./internal/player/
 
-# Differential fuzz smoke, 15 s per target: the byte-level scanner
+# Fuzz smoke, 15 s per target: the byte-level scanner
 # against the encoding/xml reference tokenizer, the canonicalizer core
 # (DOM walk, every subset apex) and its token-fed form against the
 # reference tree walker, the streaming digest against the DOM
 # pipeline (see DESIGN.md §14), the shared base64 decoder against
 # strip-then-decode with the standard library, and verification with
 # the signature memo warm against verification with every memo reset
-# (mutated SignedInfo, SignatureValue and KeyInfo; see DESIGN.md §11).
+# (mutated SignedInfo, SignatureValue and KeyInfo; see DESIGN.md §11),
+# and the cluster frame decoder on arbitrary bytes (see DESIGN.md §16).
 fuzz-smoke:
 	$(GO) test ./internal/xmlstream -run '^$$' -fuzz '^FuzzTokenizerDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/c14n -run '^$$' -fuzz '^FuzzCanonicalize$$' -fuzztime 15s
@@ -79,6 +80,7 @@ fuzz-smoke:
 	$(GO) test ./internal/xmldsig -run '^$$' -fuzz '^FuzzDigestDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/xmldom -run '^$$' -fuzz '^FuzzBase64Text$$' -fuzztime 15s
 	$(GO) test ./internal/xmldsig -run '^$$' -fuzz '^FuzzSignatureMemoDifferential$$' -fuzztime 15s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 15s
 
 # The full gate CI runs on every change.
 check: build lint lint-baseline race faults chaos fuzz-smoke metrics library-bench stream-bench cluster-bench

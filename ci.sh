@@ -46,7 +46,7 @@ go test -race ./internal/analysis/...
 make examples
 make faults
 make chaos
-# Six differential fuzz targets, 15 s each (see the Makefile).
+# Seven fuzz targets, 15 s each (see the Makefile).
 make fuzz-smoke
 make metrics
 make library-bench

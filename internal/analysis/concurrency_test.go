@@ -167,7 +167,7 @@ func TestProductionHotPathAnnotated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	pkgs, err := l.Load("./internal/library", "./internal/c14n", "./internal/obs", "./internal/cowmap",
+	pkgs, err := l.Load("./internal/library", "./internal/lru", "./internal/c14n", "./internal/obs", "./internal/cowmap",
 		"./internal/xmlstream", "./internal/xmldsig")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
@@ -179,7 +179,7 @@ func TestProductionHotPathAnnotated(t *testing.T) {
 	}
 	wantHot := []string{
 		"library.Library.lookup", "library.Library.entryValid",
-		"library.Library.signerEpochOf", "library.Library.shardFor", "library.shard.get",
+		"library.Library.signerEpochOf", "library.Library.shardFor", "lru.Cache.Get",
 		"c14n.appendText", "c14n.appendAttrValue", "c14n.Stream.walk",
 		"c14n.textSpecial", "xmlstream.charsRun", "xmlstream.LanesHolding",
 		"xmldsig.writeTransformed",

@@ -66,6 +66,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 type fleet struct {
 	t         *testing.T
 	svc       *keymgmt.Service
+	lib       *library.Library
 	creator   *keymgmt.Identity
 	origin    *cluster.Origin
 	originRec *obs.Recorder
@@ -74,7 +75,7 @@ type fleet struct {
 	recs      []*obs.Recorder
 }
 
-func newFleet(t *testing.T, n int) *fleet {
+func newFleet(t *testing.T, n int, libOpts ...library.Option) *fleet {
 	t.Helper()
 	root, creator := experiments.PKIFixture()
 	svc := keymgmt.NewService(root.Pool())
@@ -82,11 +83,11 @@ func newFleet(t *testing.T, n int) *fleet {
 		t.Fatal(err)
 	}
 	originRec := obs.NewRecorder()
-	lib := library.New(
+	lib := library.New(append([]library.Option{
 		library.WithOpener(core.Opener{RequireSignature: true}),
 		library.WithTrustService(svc),
 		library.WithRecorder(originRec),
-	)
+	}, libOpts...)...)
 	origin := cluster.NewOrigin(lib,
 		cluster.WithOriginRecorder(originRec),
 		cluster.WithOriginTrust(svc),
@@ -98,7 +99,7 @@ func newFleet(t *testing.T, n int) *fleet {
 	}
 	t.Cleanup(func() { _ = stop() })
 
-	f := &fleet{t: t, svc: svc, creator: creator, origin: origin, originRec: originRec, originURL: originURL}
+	f := &fleet{t: t, svc: svc, lib: lib, creator: creator, origin: origin, originRec: originRec, originURL: originURL}
 	for i := 0; i < n; i++ {
 		f.addEdge(fmt.Sprintf("edge-%d", i))
 	}

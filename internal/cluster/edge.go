@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,6 +14,7 @@ import (
 	"discsec/internal/flight"
 	"discsec/internal/health"
 	"discsec/internal/library"
+	"discsec/internal/lru"
 	"discsec/internal/obs"
 	"discsec/internal/resilience"
 )
@@ -46,11 +46,25 @@ type Edge struct {
 	// are dead.
 	epoch atomic.Uint64
 
-	mu      sync.RWMutex
-	records map[string]Record
-	peers   map[string]string
+	records *lru.Cache[string, Record]
+
+	mu    sync.RWMutex
+	peers map[string]string
 
 	flights flight.Group[Record]
+}
+
+// The edge's record store is byte-budgeted, so a flood of distinct
+// pushes can only evict records, never grow memory. A record is charged
+// its key and signer lengths plus recordOverhead, an estimate of the
+// rest of its heap (struct, LRU item, list element and map slot).
+const (
+	recordBudget   = 16 << 20
+	recordOverhead = 192
+)
+
+func recordCharge(rd Record) int64 {
+	return int64(recordOverhead + len(rd.Key) + len(rd.Signer))
 }
 
 // EdgeOption configures an Edge.
@@ -118,7 +132,7 @@ func NewEdge(name, selfURL, origin string, opts ...EdgeOption) *Edge {
 		origin:  origin,
 		client:  &http.Client{Timeout: 5 * time.Second},
 		maxBody: 16 << 20,
-		records: make(map[string]Record),
+		records: lru.New[string, Record](recordBudget),
 		peers:   make(map[string]string),
 	}
 	for _, opt := range opts {
@@ -144,29 +158,13 @@ func (e *Edge) Name() string { return e.name }
 func (e *Edge) Epoch() uint64 { return e.epoch.Load() }
 
 // Records reports the resident replicated-verdict count.
-func (e *Edge) Records() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.records)
-}
+func (e *Edge) Records() int { return e.records.Len() }
 
 // Health exposes the edge's monitor (the server's /healthz snapshot).
 func (e *Edge) Health() *health.Monitor { return e.monitor }
 
 // Ring exposes the routing ring (tests pin ownership through it).
 func (e *Edge) Ring() *Ring { return e.ring }
-
-// Peers returns the known peer names, sorted.
-func (e *Edge) Peers() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.peers))
-	for n := range e.peers {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // obsContext mirrors the library: a recorder on the context wins,
 // otherwise the edge's is attached.
@@ -436,20 +434,14 @@ func (e *Edge) open(ctx context.Context, rec *obs.Recorder, key string, body []b
 // here (library.ErrTrustChanged); a warm hit on a Down edge fails
 // closed; a warm hit on a Degraded edge serves, audited.
 func (e *Edge) lookup(rec *obs.Recorder, key string) (Record, bool, error) {
-	e.mu.RLock()
-	rd, ok := e.records[key]
-	e.mu.RUnlock()
+	rd, ok := e.records.Get(key)
 	if !ok {
 		return Record{}, false, nil
 	}
 	if cur := e.epoch.Load(); rd.Epoch < cur {
-		e.mu.Lock()
-		// Re-check under the write lock: a fresher record may have
-		// replaced the lagging one since the read.
-		if got, still := e.records[key]; still && got.Epoch < cur {
-			delete(e.records, key)
-		}
-		e.mu.Unlock()
+		// A fresher record may have replaced the lagging one since the
+		// read; only the one read is dropped.
+		e.records.CompareAndDelete(key, rd)
 		rec.Inc("cluster.lagging_drop")
 		return Record{}, false, fmt.Errorf("cluster: edge %s: verdict %.12s at epoch %d lags announced epoch %d: %w",
 			e.name, key, rd.Epoch, cur, library.ErrTrustChanged)
@@ -528,20 +520,17 @@ func (e *Edge) adopt(rec *obs.Recorder, key string, rd Record) error {
 		return resilience.Terminal(fmt.Errorf("cluster: edge %s: verdict keyed %.12s for content keyed %.12s: %w",
 			e.name, rd.Key, key, ErrKeyMismatch))
 	}
-	if cur := e.epoch.Load(); rd.Epoch < cur {
-		rec.Inc("cluster.lagging_drop")
+	if !e.storeRecord(rec, rd) {
 		return fmt.Errorf("cluster: edge %s: filled verdict %.12s at epoch %d lags announced epoch %d: %w",
-			e.name, key, rd.Epoch, cur, library.ErrTrustChanged)
+			e.name, key, rd.Epoch, e.epoch.Load(), library.ErrTrustChanged)
 	}
-	e.mu.Lock()
-	e.records[key] = rd
-	e.mu.Unlock()
 	return nil
 }
 
-// storeRecord admits a pushed or pulled record. No key check is needed
-// here: a stored record only ever serves content whose digest the edge
-// recomputes to exactly that key.
+// storeRecord admits a pushed, pulled or filled record unless it lags
+// the announced epoch. No key check is needed here: a stored record
+// only ever serves content whose digest the edge recomputes to exactly
+// that key.
 func (e *Edge) storeRecord(rec *obs.Recorder, rd Record) bool {
 	if rd.Key == "" {
 		return false
@@ -550,9 +539,7 @@ func (e *Edge) storeRecord(rec *obs.Recorder, rd Record) bool {
 		rec.Inc("cluster.lagging_drop")
 		return false
 	}
-	e.mu.Lock()
-	e.records[rd.Key] = rd
-	e.mu.Unlock()
+	e.records.Put(rd.Key, rd, recordCharge(rd))
 	return true
 }
 

@@ -19,7 +19,9 @@ import (
 // fill through the shared library, stamps the resulting verdict with
 // the fleet trust epoch read before the fill began (so a fill racing a
 // revocation self-invalidates at every edge), and fans records and
-// epoch announcements out to the registered edges. It implements
+// epoch announcements out to the registered edges. The library is its
+// only verdict store: a pull reads the library's valid resident
+// verdicts. It implements
 // http.Handler for the /cluster/* routes; mount it with
 // server.WithClusterOrigin or behind any mux.
 type Origin struct {
@@ -34,7 +36,6 @@ type Origin struct {
 
 	mu       sync.Mutex
 	members  map[string]Member
-	records  map[string]Record
 	breakers map[string]*resilience.Breaker
 }
 
@@ -85,7 +86,6 @@ func NewOrigin(lib *library.Library, opts ...OriginOption) *Origin {
 		client:   &http.Client{Timeout: 5 * time.Second},
 		maxBody:  16 << 20,
 		members:  make(map[string]Member),
-		records:  make(map[string]Record),
 		breakers: make(map[string]*resilience.Breaker),
 	}
 	for _, opt := range opts {
@@ -97,15 +97,6 @@ func NewOrigin(lib *library.Library, opts ...OriginOption) *Origin {
 // Epoch reports the current fleet trust epoch.
 func (o *Origin) Epoch() uint64 { return o.epoch.Load() }
 
-// Members returns the registered edges, sorted by name.
-func (o *Origin) Members() []Member {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := o.membersLocked()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 func (o *Origin) membersLocked() []Member {
 	out := make([]Member, 0, len(o.members))
 	for _, m := range o.members {
@@ -114,22 +105,16 @@ func (o *Origin) membersLocked() []Member {
 	return out
 }
 
-// Records reports the resident replicated-verdict count (diagnostics
+// Records reports the library's resident verdict count (diagnostics
 // and tests).
-func (o *Origin) Records() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.records)
-}
+func (o *Origin) Records() int { return o.lib.Len() }
 
-// Bump advances the fleet trust epoch by one, drops every record
-// stamped under the old epoch, and announces the new epoch to all
+// Bump advances the fleet trust epoch by one and announces it to all
 // registered edges (best-effort: a partitioned edge converges through
 // its next successful heartbeat instead). It returns the new epoch.
 func (o *Origin) Bump(reason string) uint64 {
 	e := o.epoch.Add(1)
 	o.mu.Lock()
-	o.records = make(map[string]Record)
 	members := o.membersLocked()
 	o.mu.Unlock()
 	o.rec.Inc("cluster.epoch_advance")
@@ -219,15 +204,8 @@ func (o *Origin) serveVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec.Inc("cluster.origin_verify")
-	rd := Record{
-		Key:        v.Key,
-		Signer:     v.Fingerprint,
-		Epoch:      e,
-		Degraded:   v.Degraded,
-		Signatures: len(v.Result.Signatures),
-	}
+	rd := recordOf(v, e)
 	o.mu.Lock()
-	o.records[rd.Key] = rd
 	members := o.membersLocked()
 	o.mu.Unlock()
 	// Replicate to every edge except the requester (which gets the
@@ -246,19 +224,28 @@ func (o *Origin) serveVerify(w http.ResponseWriter, r *http.Request) {
 	writeFrameResponse(w, rd)
 }
 
-// serveVerdicts streams the resident record set as frames (edge
-// bootstrap pull).
-func (o *Origin) serveVerdicts(w http.ResponseWriter) {
-	o.mu.Lock()
-	records := make([]Record, 0, len(o.records))
-	for _, rd := range o.records {
-		records = append(records, rd)
+// recordOf is the wire form of a library verdict stamped with a fleet
+// epoch.
+func recordOf(v *library.Verdict, epoch uint64) Record {
+	return Record{
+		Key:        v.Key,
+		Signer:     v.Fingerprint,
+		Epoch:      epoch,
+		Degraded:   v.Degraded,
+		Signatures: len(v.Result.Signatures),
 	}
-	o.mu.Unlock()
-	sort.Slice(records, func(i, j int) bool { return records[i].Key < records[j].Key })
+}
+
+// serveVerdicts streams the library's valid resident verdicts as
+// frames (edge bootstrap pull), each the record serveVerify would send
+// for its document now. The epoch is read before the walk, so a
+// revocation that lands during it makes the records lag at every edge.
+// Unsigned verdicts are never cached, so never pulled.
+func (o *Origin) serveVerdicts(w http.ResponseWriter) {
+	e := o.epoch.Load()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	for _, rd := range records {
-		if err := WriteFrame(w, rd); err != nil {
+	for _, v := range o.lib.Verdicts() {
+		if err := WriteFrame(w, recordOf(v, e)); err != nil {
 			return
 		}
 	}

@@ -129,11 +129,12 @@ func (f *FrameReader) Next(v any) error {
 	if n > MaxFrame {
 		return fmt.Errorf("cluster: frame of %d bytes exceeds the %d-byte limit", n, MaxFrame)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(f.br, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	// The body grows with the bytes that arrive, not with the prefix.
+	body, err := io.ReadAll(io.LimitReader(f.br, int64(n)))
+	if err == nil && uint64(len(body)) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return fmt.Errorf("cluster: reading %d-byte frame: %w", n, err)
 	}
 	if err := json.Unmarshal(body, v); err != nil {

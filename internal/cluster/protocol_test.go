@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -109,6 +110,27 @@ func TestFrameOversize(t *testing.T) {
 
 	if _, err := EncodeFrame(bytes.Repeat([]byte("x"), MaxFrame+1)); err == nil {
 		t.Error("EncodeFrame accepted a payload larger than MaxFrame")
+	}
+}
+
+// TestFrameLonePrefixAllocatesLittle: a prefix declaring the largest
+// legal frame, with no body behind it, costs what arrives, not what it
+// declares.
+func TestFrameLonePrefixAllocatesLittle(t *testing.T) {
+	var hdr [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(hdr[:], MaxFrame)
+	const runs = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		var rd Record
+		if err := NewFrameReader(bytes.NewReader(hdr[:n])).Next(&rd); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("lone prefix returned %v, want io.ErrUnexpectedEOF", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Errorf("a lone %d-byte prefix allocated %d bytes, want < 64 KiB", MaxFrame, per)
 	}
 }
 

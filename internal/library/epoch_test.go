@@ -4,6 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"discsec/internal/core"
+	"discsec/internal/experiments"
+	"discsec/internal/keymgmt"
 	"discsec/internal/library"
 	"discsec/internal/obs"
 )
@@ -54,5 +57,32 @@ func TestAdvanceGlobalEpochMonotonic(t *testing.T) {
 	}
 	if got := rec.Counter("library.epoch_stale"); got != 2 {
 		t.Errorf("epoch_stale = %d, want 2 (rollback and duplicate)", got)
+	}
+}
+
+// TestSignerTablesOnePerSigner bounds the per-signer tables: they grow
+// with distinct signers and binding names, never with documents, so
+// many documents from one signer leave one trust epoch and one index
+// entry per name, each naming one key.
+func TestSignerTablesOnePerSigner(t *testing.T) {
+	root, creator := experiments.PKIFixture()
+	svc := keymgmt.NewService(root.Pool())
+	if err := svc.Register(creator.Name, creator.Cert, "pw"); err != nil {
+		t.Fatal(err)
+	}
+	lib := library.New(
+		library.WithOpener(core.Opener{RequireSignature: true}),
+		library.WithTrustService(svc),
+	)
+	for seed := uint64(0); seed < 24; seed++ {
+		if _, st, err := lib.OpenDocument(context.Background(), keyNameDoc(t, 900+seed)); err != nil || st != library.StatusMiss {
+			t.Fatalf("doc %d: status=%q err=%v", seed, st, err)
+		}
+	}
+	if lib.Len() != 24 {
+		t.Fatalf("resident verdicts = %d, want 24", lib.Len())
+	}
+	if epochs, names, fps := lib.SignerTables(); epochs != 1 || names != 1 || fps != 1 {
+		t.Errorf("24 documents from one signer: %d signer epochs, %d indexed names, up to %d keys per name; want 1, 1, 1", epochs, names, fps)
 	}
 }

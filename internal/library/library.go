@@ -50,6 +50,7 @@ import (
 	"discsec/internal/disc"
 	"discsec/internal/flight"
 	"discsec/internal/keymgmt"
+	"discsec/internal/lru"
 	"discsec/internal/obs"
 	"discsec/internal/resilience"
 )
@@ -119,8 +120,6 @@ type Verdict struct {
 	// was degraded (revocation data possibly stale); such verdicts are
 	// re-verified as soon as trust recovers.
 	Degraded bool
-
-	size int64
 }
 
 // Library is a shared pool of verified verdicts. Construct with New;
@@ -130,7 +129,11 @@ type Library struct {
 	rec      *obs.Recorder
 	degraded func() bool
 
-	shards  []*shard
+	// shards each lock on their own, so lookups contend only within a
+	// digest's shard. New builds them from budget and nShards.
+	shards  []*lru.Cache[string, entry]
+	budget  int64
+	nShards int
 	flights flight.Group[*Verdict]
 
 	// globalEpoch versions the whole cache; bumping it invalidates
@@ -182,7 +185,7 @@ func WithRecorder(rec *obs.Recorder) Option {
 func WithByteBudget(n int64) Option {
 	return func(l *Library) {
 		if n > 0 {
-			l.shardBudget(n)
+			l.budget = n
 		}
 	}
 }
@@ -192,7 +195,7 @@ func WithByteBudget(n int64) Option {
 func WithShards(n int) Option {
 	return func(l *Library) {
 		if n > 0 {
-			l.shards = newShards(n, defaultBudget)
+			l.nShards = n
 		}
 	}
 }
@@ -256,28 +259,32 @@ const (
 // New builds a shared verification library.
 func New(opts ...Option) *Library {
 	l := &Library{
-		shards:      newShards(defaultShards, defaultBudget),
+		budget:      defaultBudget,
+		nShards:     defaultShards,
 		signerIndex: make(map[string]map[string]struct{}),
 		prewarmSem:  make(chan struct{}, defaultWorkers),
 	}
 	for _, o := range opts {
 		o(l)
 	}
+	l.shards = make([]*lru.Cache[string, entry], l.nShards)
+	for i := range l.shards {
+		l.shards[i] = lru.New[string, entry](l.budget / int64(l.nShards))
+	}
 	return l
 }
 
-func (l *Library) shardBudget(total int64) {
-	per := total / int64(len(l.shards))
-	if per < 1 {
-		per = 1
-	}
-	for _, s := range l.shards {
-		s.budget = per
-	}
+// entry is one cached verdict plus the trust epochs it was filled
+// under. Entries are immutable after insertion; validity is judged
+// against the library's current epochs on every lookup.
+type entry struct {
+	v           *Verdict
+	globalEpoch uint64
+	signerEpoch uint64
 }
 
 //discvet:hotpath shard routing runs on every open
-func (l *Library) shardFor(key string) *shard {
+func (l *Library) shardFor(key string) *lru.Cache[string, entry] {
 	// Keys are hex digests: fold the first eight bytes for spread.
 	var h uint32
 	for i := 0; i < len(key) && i < 8; i++ {
@@ -355,7 +362,7 @@ func (l *Library) open(ctx context.Context, rec *obs.Recorder, key string, raw [
 			return v, nil
 		}
 		status = StatusMiss
-		return l.fill(ctx, rec, key, raw, int64(len(raw)), resolver)
+		return l.fill(ctx, rec, key, raw, resolver)
 	})
 	if shared {
 		rec.Inc("library.singleflight_wait")
@@ -377,12 +384,13 @@ func (l *Library) open(ctx context.Context, rec *obs.Recorder, key string, raw [
 //discvet:hotpath the warm-open path: millions of opens resolve here
 func (l *Library) lookup(rec *obs.Recorder, key string) (*Verdict, bool) {
 	sh := l.shardFor(key)
-	e := sh.get(key)
-	if e == nil {
+	e, ok := sh.Get(key)
+	if !ok {
 		return nil, false
 	}
 	if !l.entryValid(e) {
-		if sh.removeEntry(e) {
+		// Identity-checked, so a concurrent refill is never clobbered.
+		if sh.CompareAndDelete(key, e) {
 			rec.Inc("library.invalidated")
 		}
 		return nil, false
@@ -401,7 +409,7 @@ func (l *Library) lookup(rec *obs.Recorder, key string) (*Verdict, bool) {
 // data).
 //
 //discvet:hotpath runs on every cache hit
-func (l *Library) entryValid(e *entry) bool {
+func (l *Library) entryValid(e entry) bool {
 	if e.globalEpoch != l.globalEpoch.Load() {
 		return false
 	}
@@ -429,10 +437,9 @@ func newEpoch() *atomic.Uint64 { return new(atomic.Uint64) }
 // whenever an invalidation landed while verifying, so a revocation can
 // never race a fill into caching a stale verdict: the retry re-parses
 // and re-resolves keys, and a now-revoked signer fails verification.
-// size is the verdict's byte-budget charge.
 //
 //discvet:coldpath a miss runs the full Fig. 9 verification; allocation is inherent
-func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, raw []byte, size int64, resolver *disc.Image) (*Verdict, error) {
+func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, raw []byte, resolver *disc.Image) (*Verdict, error) {
 	release, err := l.fillGate.Acquire(ctx)
 	if err != nil {
 		rec.Inc("library.fill_rejected")
@@ -484,7 +491,6 @@ func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, raw [
 			Key:         key,
 			Fingerprint: primaryFingerprint(res),
 			Degraded:    degradedFill,
-			size:        size,
 		}
 		if v.Fingerprint == "" && len(res.Signatures) == 0 {
 			// Unsigned: nothing worth sharing; hand back uncached.
@@ -501,12 +507,7 @@ func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, raw [
 			continue
 		}
 		l.indexSigner(res, v.Fingerprint)
-		evicted := l.shardFor(key).put(&entry{
-			key:         key,
-			v:           v,
-			globalEpoch: ge,
-			signerEpoch: se,
-		})
+		evicted := l.shardFor(key).Put(key, entry{v: v, globalEpoch: ge, signerEpoch: se}, int64(len(raw)))
 		if evicted > 0 {
 			rec.Add("library.evict", int64(evicted))
 		}
@@ -616,11 +617,27 @@ func (l *Library) InvalidateSignerName(name string) {
 	l.rec.Inc("library.invalidate_signer")
 }
 
+// Verdicts returns the resident verdicts that current trust still
+// admits: each passes the check a lookup would make at this moment.
+// Invalid entries are skipped, not evicted; their next lookup drops
+// them.
+func (l *Library) Verdicts() []*Verdict {
+	var out []*Verdict
+	for _, s := range l.shards {
+		for _, e := range s.Values() {
+			if l.entryValid(e) {
+				out = append(out, e.v)
+			}
+		}
+	}
+	return out
+}
+
 // Len reports resident entries (diagnostics and tests).
 func (l *Library) Len() int {
 	n := 0
 	for _, s := range l.shards {
-		n += s.len()
+		n += s.Len()
 	}
 	return n
 }
@@ -629,7 +646,7 @@ func (l *Library) Len() int {
 func (l *Library) SizeBytes() int64 {
 	var n int64
 	for _, s := range l.shards {
-		n += s.sizeBytes()
+		n += s.Bytes()
 	}
 	return n
 }

@@ -269,23 +269,19 @@ func cipherValueOf(el *xmldom.Element) ([]byte, error) {
 }
 
 // parseFragment parses plaintext that may hold several sibling nodes by
-// wrapping it in a synthetic root.
+// wrapping it in a synthetic root, built in one exact-size buffer.
 func parseFragment(b []byte) ([]xmldom.Node, error) {
-	wrapped := append([]byte("<xmlenc-fragment-wrapper>"), b...)
-	wrapped = append(wrapped, []byte("</xmlenc-fragment-wrapper>")...)
+	const open, end = "<xmlenc-fragment-wrapper>", "</xmlenc-fragment-wrapper>"
+	wrapped := make([]byte, 0, len(open)+len(b)+len(end))
+	wrapped = append(append(append(wrapped, open...), b...), end...)
 	doc, err := xmldom.ParseBytes(wrapped)
 	if err != nil {
 		return nil, err
 	}
+	// The caller inserts every node, which re-parents it; emptying the
+	// wrapper first keeps each insertion's detach from scanning it.
 	root := doc.Root()
-	nodes := append([]xmldom.Node(nil), root.Children...)
-	for _, n := range nodes {
-		switch t := n.(type) {
-		case *xmldom.Element:
-			t.Detach()
-		default:
-			root.RemoveChild(n)
-		}
-	}
+	nodes := root.Children
+	root.Children = nil
 	return nodes, nil
 }
