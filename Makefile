@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race lint lint-baseline vet-bench race faults chaos fuzz-smoke check bench metrics library-bench stream-bench cluster-bench tools examples cover clean
+.PHONY: all build test test-race lint lint-baseline vet-bench race faults chaos fuzz-smoke check bench tables tools examples cover clean
 
 all: build test
 
@@ -39,9 +39,6 @@ vet-bench:
 
 race:
 	$(GO) test -race ./...
-	$(GO) test -race ./internal/analysis/...
-	$(GO) test -race ./internal/library/ ./internal/player/
-	$(GO) test -race ./internal/server/ ./internal/keymgmt/ ./internal/resilience/
 
 # Fault-matrix gate: the deterministic fault-injection suites
 # (internal/faults schedules driving resets, timeouts, stalls,
@@ -67,52 +64,33 @@ chaos:
 # Fuzz smoke, 15 s per target: the byte-level scanner
 # against the encoding/xml reference tokenizer, the canonicalizer core
 # (DOM walk, every subset apex) and its token-fed form against the
-# reference tree walker, the streaming digest against the DOM
-# pipeline (see DESIGN.md §14), the shared base64 decoder against
-# strip-then-decode with the standard library, and verification with
-# the signature memo warm against verification with every memo reset
-# (mutated SignedInfo, SignatureValue and KeyInfo; see DESIGN.md §11),
-# and the cluster frame decoder on arbitrary bytes (see DESIGN.md §16).
+# reference tree walker, the library's cache-key pass, memo cold and
+# warm, against the DOM pipeline (see DESIGN.md §14), the shared base64
+# decoder against strip-then-decode with the standard library,
+# verification with the signature memo warm against verification with
+# every memo reset (mutated SignedInfo, SignatureValue and KeyInfo; see
+# DESIGN.md §11), the cluster frame decoder on arbitrary bytes (see
+# DESIGN.md §16), and the four parsers of untrusted input: the DOM
+# parser, the cluster model, the policy-set parser and the script
+# interpreter.
 fuzz-smoke:
 	$(GO) test ./internal/xmlstream -run '^$$' -fuzz '^FuzzTokenizerDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/c14n -run '^$$' -fuzz '^FuzzCanonicalize$$' -fuzztime 15s
 	$(GO) test ./internal/c14n -run '^$$' -fuzz '^FuzzStreamDifferential$$' -fuzztime 15s
-	$(GO) test ./internal/xmldsig -run '^$$' -fuzz '^FuzzDigestDifferential$$' -fuzztime 15s
+	$(GO) test ./internal/library -run '^$$' -fuzz '^FuzzKeyDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/xmldom -run '^$$' -fuzz '^FuzzBase64Text$$' -fuzztime 15s
 	$(GO) test ./internal/xmldsig -run '^$$' -fuzz '^FuzzSignatureMemoDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 15s
+	$(GO) test ./internal/xmldom -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s
+	$(GO) test ./internal/disc -run '^$$' -fuzz '^FuzzParseCluster$$' -fuzztime 15s
+	$(GO) test ./internal/access -run '^$$' -fuzz '^FuzzParsePolicySet$$' -fuzztime 15s
+	$(GO) test ./internal/markup -run '^$$' -fuzz '^FuzzScript$$' -fuzztime 15s
 
 # The full gate CI runs on every change.
-check: build lint lint-baseline race faults chaos fuzz-smoke metrics library-bench stream-bench cluster-bench
+check: build lint lint-baseline race faults chaos fuzz-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Observability smoke: run the instrumented player pipeline and emit
-# the per-stage span medians (see internal/obs, DESIGN.md §9).
-metrics:
-	$(GO) run ./cmd/discbench -table obs -quick -obsjson BENCH_obs.json
-
-# Shared-verification-library benchmark: cold vs warm vs contended
-# opens (see internal/library, DESIGN.md §11). Writes the committed
-# BENCH_library.json artifact.
-library-bench:
-	$(GO) run ./cmd/discbench -table library -quick -libjson BENCH_library.json
-
-# Streaming-pipeline benchmark: single-pass reader-first cold path vs
-# the DOM two-pass it replaced (see internal/xmlstream, DESIGN.md §14).
-# Merges a "streaming" section into BENCH_obs.json without touching
-# the obs stage table.
-stream-bench:
-	$(GO) run ./cmd/discbench -table stream -quick -streamjson BENCH_obs.json
-
-# Cluster-tier benchmark: a loopback origin/edge fleet measuring the
-# distributed verification tier's three claims — fleet-wide cold-miss
-# collapse, cache-local warm opens, revocation convergence (see
-# internal/cluster, DESIGN.md §16). Writes the committed
-# BENCH_cluster.json artifact.
-cluster-bench:
-	$(GO) run ./cmd/discbench -table cluster -quick -clusterjson BENCH_cluster.json
 
 # Regenerate every experiment table (E1-E7, C1).
 tables:
@@ -133,8 +111,6 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Scratch outputs only: the committed BENCH_*.json artifacts are
-# regenerated by `make metrics` / `make library-bench` /
-# `make stream-bench` / `make cluster-bench`, not deleted.
+# Build and test outputs only.
 clean:
 	rm -rf bin cover.out test_output.txt bench_output.txt discvet.sarif

@@ -6,13 +6,11 @@
 # errdominate, onceonly) on top of the v3 interprocedural concurrency
 # rules (lockorder, goroutineleak), the hot-path allocation rule
 # (hotpathalloc), and the reader-first streaming rule (readerfirst) —
-# is archived next to the BENCH_*.json artifacts for code-scanning
-# upload, with discvet's own wall-clock recorded in its invocations
-# block (make vet-bench).
+# is archived for code-scanning upload, with discvet's own wall-clock
+# recorded in its invocations block (make vet-bench).
 set -eux
 
 go build ./...
-go vet ./...
 make lint
 make lint-baseline
 
@@ -37,7 +35,6 @@ done
 grep -q '"wallClockMillis"' discvet.sarif || { echo "discvet.sarif is missing the recorded wall-clock" >&2; exit 1; }
 
 go test -race ./...
-go test -race ./internal/analysis/...
 # The benchmark suite is a module of its own, so the root `go test ./...`
 # never builds it; its smoke test catches an API change that breaks it.
 (cd cmd/discbench/suite && GOFLAGS= GOPROXY=off GOWORK=off go test ./...)
@@ -46,9 +43,7 @@ go test -race ./internal/analysis/...
 make examples
 make faults
 make chaos
-# Seven fuzz targets, 15 s each (see the Makefile).
+# Eleven fuzz targets, 15 s each (see the Makefile).
 make fuzz-smoke
-make metrics
-make library-bench
-make stream-bench
-make cluster-bench
+# Smoke run of the paper's experiment tables (E1-E7, C1).
+go run ./cmd/discbench -quick

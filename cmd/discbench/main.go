@@ -4,11 +4,10 @@
 //
 // Usage:
 //
-//	discbench [-table all|e1|e2|e3|e4|e5|e6|e7|c1|obs|library|stream|cluster] [-quick] [-metrics] [-obsjson file] [-libjson file] [-streamjson file] [-clusterjson file]
+//	discbench [-table all|e1|e2|e3|e4|e5|e6|e7|c1] [-quick]
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -16,18 +15,12 @@ import (
 
 	"discsec/internal/c14n"
 	"discsec/internal/experiments"
-	"discsec/internal/obs"
 	"discsec/internal/workload"
 )
 
 var (
-	tableFlag       = flag.String("table", "all", "experiment table to run (all, e1..e7, c1, obs, library, stream, cluster)")
-	quickFlag       = flag.Bool("quick", false, "fewer iterations (smoke mode)")
-	metricsFlag     = flag.Bool("metrics", false, "run the instrumented pipeline and print its per-stage table")
-	obsJSONFlag     = flag.String("obsjson", "", "write the instrumented pipeline's metrics snapshot as JSON to this file")
-	libJSONFlag     = flag.String("libjson", "", "write the library benchmark report as JSON to this file")
-	streamJSONFlag  = flag.String("streamjson", "", "merge the streaming-pipeline benchmark into this JSON file (under the \"streaming\" key)")
-	clusterJSONFlag = flag.String("clusterjson", "", "write the cluster-tier benchmark report as JSON to this file")
+	tableFlag = flag.String("table", "all", "experiment table to run (all, e1..e7, c1)")
+	quickFlag = flag.Bool("quick", false, "fewer iterations (smoke mode)")
 )
 
 func main() {
@@ -35,18 +28,10 @@ func main() {
 	run := map[string]func(){
 		"e1": tableE1, "e2": tableE2, "e3": tableE3, "e4": tableE4,
 		"e5": tableE5, "e6": tableE6, "e7": tableE7, "c1": tableC1,
-		"obs": tableObs, "library": tableLibrary, "stream": tableStream,
-		"cluster": tableCluster,
 	}
 	if *tableFlag == "all" {
 		for _, name := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "c1"} {
 			run[name]()
-		}
-		// The obs table only joins "all" on request: its recorder
-		// instruments the pipeline, so it stays out of the timing
-		// tables unless asked for.
-		if *metricsFlag || *obsJSONFlag != "" {
-			tableObs()
 		}
 		return
 	}
@@ -56,41 +41,6 @@ func main() {
 		os.Exit(2)
 	}
 	fn()
-}
-
-// tableObs runs the end-to-end player pipeline under a Recorder and
-// prints the per-stage span table (counts, totals, quantiles) plus
-// decision counters — the observability view of E6.
-func tableObs() {
-	header("OBS", "instrumented player pipeline (per-stage spans over Fig. 9)")
-	art, err := experiments.AuthorPipeline()
-	if err != nil {
-		fatal(err)
-	}
-	rec := obs.NewRecorder()
-	ctx := obs.WithRecorder(context.Background(), rec)
-	iters := 25
-	if *quickFlag {
-		iters = 5
-	}
-	for i := 0; i < iters; i++ {
-		if _, err := experiments.PlayerPipelineContext(ctx, art.PackedImage); err != nil {
-			fatal(err)
-		}
-	}
-	fmt.Printf("player pipeline x%d (verify+decrypt+policy+run)\n\n", iters)
-	snap := rec.Snapshot()
-	fmt.Print(snap.StageTable())
-	if *obsJSONFlag != "" {
-		b, err := snap.MarshalJSONIndent()
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*obsJSONFlag, b, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nwrote metrics snapshot -> %s\n", *obsJSONFlag)
-	}
 }
 
 // measure runs op repeatedly until the time budget is consumed and

@@ -40,11 +40,9 @@ var errCheckedProducers = []FuncRef{
 	{Pkg: pkgCore, Recv: "Opener", Name: "OpenDocument"},
 	{Pkg: pkgCore, Recv: "Opener", Name: "VerifyDetached"},
 	{Pkg: pkgCore, Recv: "Opener", Name: "VerifyDetachedReader"},
-	// The leaf verifier and its streaming digests.
+	// The leaf verifier.
 	{Pkg: pkgXMLDSig, Name: "Verify"},
 	{Pkg: pkgXMLDSig, Name: "VerifyDocument"},
-	{Pkg: pkgXMLDSig, Name: "DigestDocumentReader"},
-	{Pkg: pkgXMLDSig, Name: "HashReader"},
 	// The shared verification library.
 	{Pkg: pkgLibrary, Recv: "Library", Name: "OpenDocument"},
 	{Pkg: pkgLibrary, Recv: "Library", Name: "OpenReader"},
@@ -93,8 +91,6 @@ var readerConsumers = []ReaderRef{
 	{FuncRef: FuncRef{Pkg: pkgXMLStream, Name: "Parse"}, Arg: 0},
 	{FuncRef: FuncRef{Pkg: pkgXMLDOM, Name: "Parse"}, Arg: 0},
 	{FuncRef: FuncRef{Pkg: pkgXMLDOM, Name: "ParseWithOptions"}, Arg: 0},
-	{FuncRef: FuncRef{Pkg: pkgXMLDSig, Name: "DigestDocumentReader"}, Arg: 0},
-	{FuncRef: FuncRef{Pkg: pkgXMLDSig, Name: "HashReader"}, Arg: 0},
 	{FuncRef: FuncRef{Pkg: pkgCore, Recv: "Opener", Name: "OpenReader"}, Arg: 2},
 	{FuncRef: FuncRef{Pkg: pkgCore, Recv: "Opener", Name: "VerifyDetachedReader"}, Arg: 2},
 	{FuncRef: FuncRef{Pkg: pkgLibrary, Recv: "Library", Name: "OpenReader"}, Arg: 2},

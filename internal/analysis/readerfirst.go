@@ -25,8 +25,6 @@ var readerFirstEntries = []readerFirstEntry{
 	{FuncRef{Pkg: pkgLibrary, Recv: "Library", Name: "OpenReader"}, 1},
 	{FuncRef{Pkg: pkgCluster, Recv: "Edge", Name: "OpenReader"}, 1},
 	{FuncRef{Pkg: pkgPlayer, Recv: "Engine", Name: "LoadFrom"}, 1},
-	{FuncRef{Pkg: pkgXMLDSig, Name: "DigestDocumentReader"}, 0},
-	{FuncRef{Pkg: pkgXMLDSig, Name: "HashReader"}, 0},
 	{FuncRef{Pkg: modulePath + "/internal/xmldom", Name: "Parse"}, 0},
 	{FuncRef{Pkg: modulePath + "/internal/xmldom", Name: "ParseWithOptions"}, 0},
 }

@@ -9,12 +9,10 @@ import (
 	"io"
 	"strings"
 
-	"discsec/internal/c14n"
 	"discsec/internal/core"
 	"discsec/internal/library"
 	"discsec/internal/player"
 	"discsec/internal/xmldom"
-	"discsec/internal/xmldsig"
 )
 
 // Inline wrap: the buffer flows straight back into a reader argument.
@@ -57,12 +55,13 @@ func parseWrap(r io.Reader) (*xmldom.Document, error) {
 	return xmldom.Parse(bytes.NewReader(buf)) // want readerfirst
 }
 
-func digestWrap(r io.Reader) ([]byte, error) {
+// A bytes.Buffer over the buffer is a wrap too.
+func bufferWrap(r io.Reader) (*xmldom.Document, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	return xmldsig.DigestDocumentReader(bytes.NewBuffer(buf), c14n.Options{Exclusive: true}, "uri") // want readerfirst
+	return xmldom.ParseWithOptions(bytes.NewBuffer(buf), xmldom.ParseOptions{}) // want readerfirst
 }
 
 // Clean: the original reader flows straight through.

@@ -436,12 +436,6 @@ func AuthorPipeline() (*PipelineArtifacts, error) {
 // unpack, decrypt+verify, permissions, execute. Returns the execution
 // report.
 func PlayerPipeline(packed []byte) (*player.ExecutionReport, error) {
-	return PlayerPipelineContext(context.Background(), packed)
-}
-
-// PlayerPipelineContext is PlayerPipeline under a caller context; a
-// recorder attached with obs.WithRecorder observes every stage.
-func PlayerPipelineContext(ctx context.Context, packed []byte) (*player.ExecutionReport, error) {
 	root, _ := PKIFixture()
 	im, err := disc.ReadImageBytes(packed)
 	if err != nil {
@@ -454,7 +448,7 @@ func PlayerPipelineContext(ctx context.Context, packed []byte) (*player.Executio
 		player.WithDecryptKeys(xmlenc.DecryptOptions{Key: EncKey}),
 		player.WithRequireSignature(true),
 	)
-	sess, err := e.Load(ctx, im)
+	sess, err := e.Load(context.Background(), im)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -211,9 +212,9 @@ func TestSnapshotJSON(t *testing.T) {
 	r.Start(StageDecrypt).End()
 	r.Inc("download.retries")
 	r.Audit(AuditDegradedEnter, "trust service down")
-	data, err := r.Snapshot().MarshalJSONIndent()
+	data, err := json.MarshalIndent(r.Snapshot(), "", "  ")
 	if err != nil {
-		t.Fatalf("MarshalJSONIndent: %v", err)
+		t.Fatalf("MarshalIndent: %v", err)
 	}
 	for _, want := range []string{`"stage": "decrypt"`, `"download.retries"`, `"degraded-trust-entered"`} {
 		if !strings.Contains(string(data), want) {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -71,7 +70,7 @@ func (r *Recorder) Snapshot() Snapshot {
 }
 
 // StageTable renders the per-stage histogram summary as an aligned
-// text table (the `-metrics` output of discplayer/discbench).
+// text table (the `-metrics` output of discplayer).
 func (s Snapshot) StageTable() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %8s %12s %12s %12s %12s %12s %12s\n",
@@ -134,9 +133,4 @@ func (s Snapshot) WriteMetrics(w io.Writer) error {
 	}
 	_, err := fmt.Fprintf(w, "discsec_audit_events %d\n", len(s.Audit))
 	return err
-}
-
-// MarshalJSONIndent serializes the snapshot for BENCH_obs.json.
-func (s Snapshot) MarshalJSONIndent() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }
