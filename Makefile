@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race lint lint-baseline vet-bench race faults chaos fuzz-smoke check bench tables tools examples cover clean
+.PHONY: all build test lint lint-baseline vet-bench race poison faults chaos fuzz-smoke check bench tables tools examples cover clean
 
 all: build test
 
@@ -12,9 +12,6 @@ build:
 
 test:
 	$(GO) test ./...
-
-test-race:
-	$(GO) test -race ./...
 
 # Static analysis: go vet plus the project-specific discvet suite
 # (constant-time comparisons, no math/rand key material, %w wrapping,
@@ -39,6 +36,16 @@ vet-bench:
 
 race:
 	$(GO) test -race ./...
+
+# Poisoned-release gate: under the domPoison tag, Document.Release
+# overwrites every node, attribute and child slot it hands back with a
+# sentinel, so a model, verdict or session that kept part of a released
+# tree decodes wrong. Covers the xmldsig verdict table, the cluster
+# decode oracle, the library fills (verdict heap charge included), the
+# player's RunApplication tests and the cluster and server paths.
+poison:
+	$(GO) test -tags domPoison ./internal/xmldom ./internal/library ./internal/disc \
+		./internal/player ./internal/cluster ./internal/server ./internal/xmldsig
 
 # Fault-matrix gate: the deterministic fault-injection suites
 # (internal/faults schedules driving resets, timeouts, stalls,
@@ -87,7 +94,7 @@ fuzz-smoke:
 	$(GO) test ./internal/markup -run '^$$' -fuzz '^FuzzScript$$' -fuzztime 15s
 
 # The full gate CI runs on every change.
-check: build lint lint-baseline race faults chaos fuzz-smoke
+check: build lint lint-baseline race poison faults chaos fuzz-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

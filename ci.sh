@@ -35,6 +35,9 @@ done
 grep -q '"wallClockMillis"' discvet.sarif || { echo "discvet.sarif is missing the recorded wall-clock" >&2; exit 1; }
 
 go test -race ./...
+# The fill and decode tests again with released DOM nodes poisoned
+# (see the Makefile's poison target).
+make poison
 # The benchmark suite is a module of its own, so the root `go test ./...`
 # never builds it; its smoke test catches an API change that breaks it.
 (cd cmd/discbench/suite && GOFLAGS= GOPROXY=off GOWORK=off go test ./...)

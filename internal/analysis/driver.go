@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -146,8 +147,11 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks the non-test Go files in dir as the
-// package with the given import path. Results are memoized per path.
+// LoadDir parses and type-checks the non-test Go files in dir that
+// the default build compiles (build constraints and GOOS/GOARCH file
+// names honoured, so a test-only build such as xmldom's domPoison file
+// is left out) as the package with the given import path. Results are
+// memoized per path.
 func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if pkg, ok := l.cache[path]; ok {
 		return pkg, nil
@@ -158,10 +162,10 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	}
 	var files []*ast.File
 	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !isBuiltGoFile(dir, e) {
 			continue
 		}
+		name := e.Name()
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
@@ -211,10 +215,20 @@ func hasGoFiles(dir string) (bool, error) {
 		return false, err
 	}
 	for _, e := range ents {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+		if isBuiltGoFile(dir, e) {
 			return true, nil
 		}
 	}
 	return false, nil
+}
+
+// isBuiltGoFile reports whether e is a non-test Go file the default
+// build of dir compiles.
+func isBuiltGoFile(dir string, e os.DirEntry) bool {
+	name := e.Name()
+	if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false
+	}
+	ok, err := build.Default.MatchFile(dir, name)
+	return err == nil && ok
 }

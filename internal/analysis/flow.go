@@ -372,6 +372,21 @@ func effectiveArgs(info *types.Info, call *ast.CallExpr) []ast.Expr {
 	return append(args, call.Args...)
 }
 
+// releasedOperand is the value a poolPutFuncs call hands back: the
+// argument of Pool.Put(x), or the receiver of an argument-less release
+// method such as doc.Release(). Nil for any other shape.
+func releasedOperand(call *ast.CallExpr) ast.Expr {
+	switch len(call.Args) {
+	case 1:
+		return call.Args[0]
+	case 0:
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			return sel.X
+		}
+	}
+	return nil
+}
+
 // --- Interprocedural summaries -------------------------------------
 
 // flowSummary abstracts one function for the value-flow rules. Bits
@@ -540,9 +555,11 @@ func scanFlowSummary(n *FuncNode, sums map[*types.Func]*flowSummary) flowSummary
 				return true
 			}
 			args := effectiveArgs(n.Pkg.Info, s)
-			if matchAny(fn, poolPutFuncs) && len(s.Args) == 1 {
-				if bit, ok := paramBitOf(s.Args[0]); ok {
-					out.releases |= bit
+			if matchAny(fn, poolPutFuncs) {
+				if v := releasedOperand(s); v != nil {
+					if bit, ok := paramBitOf(v); ok {
+						out.releases |= bit
+					}
 				}
 				return true
 			}

@@ -15,14 +15,30 @@ import (
 // Put back is an aliasing bug (the pool may have handed it to another
 // goroutine). Module helpers that wrap these (xmlstream's pooled
 // parser, any future bufpool) are discovered through flow summaries,
-// not listed here.
+// not listed here. A parsed document's nodes live in a pooled arena
+// until Document.Release, so the xmldom parsers are producers too.
 var poolGetFuncs = []FuncRef{
 	{Pkg: "sync", Recv: "Pool", Name: "Get"},
+	{Pkg: pkgXMLDOM, Name: "Parse"},
+	{Pkg: pkgXMLDOM, Name: "ParseBytes"},
+	{Pkg: pkgXMLDOM, Name: "ParseString"},
+	{Pkg: pkgXMLDOM, Name: "ParseWithOptions"},
 }
 
-// poolPutFuncs release pool-owned values.
+// poolPutFuncs release pool-owned values: Pool.Put its argument,
+// Document.Release its receiver (see releasedOperand).
 var poolPutFuncs = []FuncRef{
 	{Pkg: "sync", Recv: "Pool", Name: "Put"},
+	{Pkg: pkgXMLDOM, Recv: "Document", Name: "Release"},
+}
+
+// poolCopyFuncs return a deep copy that shares no memory with the
+// pooled value they are called on, so poolescape does not treat the
+// result as read out of it: a clone of a document outlives the
+// document's Release.
+var poolCopyFuncs = []FuncRef{
+	{Pkg: pkgXMLDOM, Recv: "Document", Name: "Clone"},
+	{Pkg: pkgXMLDOM, Recv: "Element", Name: "Clone"},
 }
 
 // --- errdominate -----------------------------------------------------

@@ -5,9 +5,11 @@ package analysis
 // module helper whose flow summary releases it (xmlstream's putParser)
 // — the pool may hand it to another goroutine at any moment, so every
 // later read through any alias is a data race in waiting, and a second
-// Put makes the pool hold the same object twice. The rule is a MAY
-// analysis over the value-flow framework: released on any path to a
-// use is enough to flag the use.
+// Put makes the pool hold the same object twice. A parsed document is
+// pool-owned the same way: Document.Release hands its arena back, so
+// the document and every node read out of it (root := doc.Root()) are
+// dead afterwards. The rule is a MAY analysis over the value-flow
+// framework: released on any path to a use is enough to flag the use.
 
 import (
 	"go/ast"
@@ -58,11 +60,20 @@ func (r *poolEscapeRule) transferNode(fa *flowAnalysis, st *flowState, n ast.Nod
 			}
 			return
 		}
-		// Tuple assignment: no single producer expression per name.
-		for _, lhs := range x.Lhs {
-			if obj := assignedObj(fa.info, lhs); obj != nil {
-				delete(st.objs, obj)
+		// Tuple assignment: no single producer expression per name,
+		// except that a pooled producer's first result is the pooled
+		// value (doc, err := xmldom.ParseBytes(b)).
+		call := r.pooledCall(fa, x.Rhs[0])
+		for i, lhs := range x.Lhs {
+			obj := assignedObj(fa.info, lhs)
+			if obj == nil {
+				continue
 			}
+			if i == 0 && call != nil {
+				r.startLive(fa, st, call, obj)
+				continue
+			}
+			delete(st.objs, obj)
 		}
 
 	case *ast.DeclStmt:
@@ -165,18 +176,23 @@ func (r *poolEscapeRule) scanCallOperands(fa *flowAnalysis, st *flowState, call 
 	}
 }
 
-// call interprets one call: a direct Pool.Put releases its argument
-// (double release reported), a summarized module callee releases the
-// effective parameters its summary says it does, everything else is
-// argument uses.
+// call interprets one call: a direct release (Pool.Put, or
+// Document.Release on its receiver) releases its operand (double
+// release reported), a summarized module callee releases the effective
+// parameters its summary says it does, everything else is argument
+// uses.
 func (r *poolEscapeRule) call(fa *flowAnalysis, st *flowState, call *ast.CallExpr) {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+	fn := calleeFunc(fa.info, call)
+	var released ast.Expr
+	if fn != nil && matchAny(fn, poolPutFuncs) {
+		released = releasedOperand(call)
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.X != released {
 		r.scanExpr(fa, st, sel.X)
 	}
-	fn := calleeFunc(fa.info, call)
 
-	if fn != nil && matchAny(fn, poolPutFuncs) && len(call.Args) == 1 {
-		regs := r.regsOf(fa, st, call.Args[0])
+	if released != nil {
+		regs := r.regsOf(fa, st, released)
 		for _, reg := range regs {
 			if st.vals[reg] == poolReleased {
 				fa.reportf(call.Lparen, "pooled %s Put again; it was already released on this path", fa.regs[reg].name)
@@ -184,7 +200,14 @@ func (r *poolEscapeRule) call(fa *flowAnalysis, st *flowState, call *ast.CallExp
 			st.vals[reg] = poolReleased
 		}
 		if len(regs) == 0 {
-			r.scanExpr(fa, st, call.Args[0])
+			r.scanExpr(fa, st, released)
+			// A value with no tracked producer (a document read out of
+			// a result) is dead from its release on.
+			if obj := assignedObj(fa.info, unwrapValueExpr(released)); obj != nil {
+				reg := fa.register(call.Lparen, obj.Name(), obj)
+				st.objs[obj] = []vreg{reg}
+				st.vals[reg] = poolReleased
+			}
 		}
 		return
 	}
@@ -224,34 +247,98 @@ func (r *poolEscapeRule) useCheck(fa *flowAnalysis, st *flowState, id *ast.Ident
 }
 
 // bind updates the abstract store for one lhs := rhs pair: a pooled
-// producer starts a live register, an alias shares the source's
-// registers, anything else clears the name.
+// producer starts a live register, an alias or a reference read out of
+// a pooled value shares the source's registers, anything else clears
+// the name.
 func (r *poolEscapeRule) bind(fa *flowAnalysis, st *flowState, lhs, rhs ast.Expr) {
 	obj := assignedObj(fa.info, lhs)
 	if obj == nil {
 		return
 	}
-	e := unwrapValueExpr(rhs)
-	if call, ok := e.(*ast.CallExpr); ok {
-		fn := calleeFunc(fa.info, call)
-		pooled := fn != nil && matchAny(fn, poolGetFuncs)
-		if !pooled && fn != nil {
-			if sum, ok := r.sums[fn]; ok && sum.returnsPooled {
-				pooled = true
-			}
-		}
-		if pooled {
-			reg := fa.register(call.Lparen, obj.Name(), obj)
-			st.objs[obj] = []vreg{reg}
-			st.vals[reg] = poolLive
-			return
-		}
+	if call := r.pooledCall(fa, rhs); call != nil {
+		r.startLive(fa, st, call, obj)
+		return
 	}
-	if regs := r.regsOf(fa, st, rhs); len(regs) > 0 {
+	regs := r.regsOf(fa, st, rhs)
+	if len(regs) == 0 && holdsReference(obj.Type()) {
+		regs = r.regsOf(fa, st, derivedFrom(fa.info, rhs))
+	}
+	if len(regs) > 0 {
 		st.objs[obj] = append([]vreg(nil), regs...)
 		return
 	}
 	delete(st.objs, obj)
+}
+
+// pooledCall returns rhs as a call that produces a pooled value: a
+// poolGetFuncs entry or a module function whose summary returns one.
+func (r *poolEscapeRule) pooledCall(fa *flowAnalysis, rhs ast.Expr) *ast.CallExpr {
+	call, ok := unwrapValueExpr(rhs).(*ast.CallExpr)
+	if !ok {
+		return nil
+	}
+	fn := calleeFunc(fa.info, call)
+	if fn == nil {
+		return nil
+	}
+	if matchAny(fn, poolGetFuncs) {
+		return call
+	}
+	if sum, ok := r.sums[fn]; ok && sum.returnsPooled {
+		return call
+	}
+	return nil
+}
+
+// startLive binds obj to a fresh live register produced by call.
+func (r *poolEscapeRule) startLive(fa *flowAnalysis, st *flowState, call *ast.CallExpr, obj types.Object) {
+	reg := fa.register(call.Lparen, obj.Name(), obj)
+	st.objs[obj] = []vreg{reg}
+	st.vals[reg] = poolLive
+}
+
+// derivedFrom returns the value a reference is read out of: p for p.f,
+// p.M(...), p[i] and p[i:j], recursively, so root := doc.Root() and
+// kids := root.Children both resolve to doc. A poolCopyFuncs call and
+// any other expression are returned as is.
+func derivedFrom(info *types.Info, e ast.Expr) ast.Expr {
+	for {
+		switch x := unwrapValueExpr(e).(type) {
+		case *ast.SelectorExpr:
+			if s := info.Selections[x]; s == nil {
+				return x // a package-qualified name
+			}
+			e = x.X
+		case *ast.CallExpr:
+			sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
+			if !ok {
+				return x
+			}
+			if s := info.Selections[sel]; s == nil || s.Kind() != types.MethodVal {
+				return x
+			}
+			if matchAny(calleeFunc(info, x), poolCopyFuncs) {
+				return x
+			}
+			e = sel.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		default:
+			return x
+		}
+	}
+}
+
+// holdsReference reports whether a value of type t can point into the
+// memory it was read from; a copied string or number cannot.
+func holdsReference(t types.Type) bool {
+	switch t.Underlying().(type) {
+	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Interface:
+		return true
+	}
+	return false
 }
 
 // regsOf resolves an expression to the registers it names, through

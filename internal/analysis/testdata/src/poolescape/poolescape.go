@@ -1,9 +1,14 @@
-// Fixture for the poolescape analyzer: values from sync.Pool.Get must
-// not be used, aliased, or returned after their Put, and never Put
-// twice on any path.
+// Fixture for the poolescape analyzer: values from sync.Pool.Get, and
+// parsed documents with the nodes read out of them, must not be used,
+// aliased, or returned after their Put (a document's Release), and
+// never Put twice on any path.
 package fixture
 
-import "sync"
+import (
+	"sync"
+
+	"discsec/internal/xmldom"
+)
 
 type item struct {
 	n   int
@@ -134,4 +139,69 @@ func reacquire() {
 	p = pool.Get().(*item)
 	use(p)
 	pool.Put(p)
+}
+
+// A parsed document is pool-owned: Release hands its arena back, so the
+// document is dead afterwards.
+func docUseAfterRelease(b []byte) {
+	doc, err := xmldom.ParseBytes(b)
+	if err != nil {
+		return
+	}
+	doc.Release()
+	_ = doc.Root() // want poolescape
+}
+
+// A node read out of the document before its Release dies with it.
+func nodeUseAfterRelease(b []byte) *xmldom.Element {
+	doc, err := xmldom.ParseBytes(b)
+	if err != nil {
+		return nil
+	}
+	root := doc.Root()
+	kids := root.Children
+	doc.Release()
+	_ = kids[0] // want poolescape
+	return root // want poolescape
+}
+
+// Releasing twice is a double Put.
+func doubleRelease(b []byte) {
+	doc, err := xmldom.ParseBytes(b)
+	if err != nil {
+		return
+	}
+	doc.Release()
+	doc.Release() // want poolescape
+}
+
+// Clean twin: the model is read out of the tree (as strings, which
+// the arena does not own) and the release comes last.
+func releaseLast(b []byte) string {
+	doc, err := xmldom.ParseBytes(b)
+	if err != nil {
+		return ""
+	}
+	root := doc.Root()
+	name := root.Local
+	doc.Release()
+	return name
+}
+
+// Clean twin: a clone owns its nodes, so it outlives the release.
+func cloneOutlivesRelease(b []byte) *xmldom.Element {
+	doc, err := xmldom.ParseBytes(b)
+	if err != nil {
+		return nil
+	}
+	keep := doc.Root().Clone()
+	doc.Release()
+	return keep
+}
+
+// A document the function did not parse itself is dead from its
+// release on, too.
+func releasedParam(doc *xmldom.Document) {
+	doc.Release()
+	_ = doc.Root() // want poolescape
 }

@@ -295,7 +295,10 @@ func (s *Stream) Comment(data []byte) error { return comment(s, data) }
 func (s *Stream) ProcInst(target string, data []byte) error { return procInst(s, target, data) }
 
 // text, comment and procInst take token bytes and DOM strings alike, so
-// neither is copied on the way to the escapers.
+// neither is copied on the way to the escapers. A text run is escaped
+// in slices that fill the buffer up to streamFlushAt, so a clip's
+// megabytes of character data never stage whole in the buffer; the
+// escaping is byte-local, so where the slices fall does not matter.
 //
 //discvet:hotpath character data dominates clip payloads; must not allocate per chunk
 func text[T string | []byte](s *Stream, data T) error {
@@ -303,6 +306,13 @@ func text[T string | []byte](s *Stream, data T) error {
 		// Whitespace between top-level constructs is not part of the
 		// canonical form.
 		return nil
+	}
+	for room := streamFlushAt - len(s.buf); len(data) > room; room = streamFlushAt - len(s.buf) {
+		if room > 0 {
+			s.buf = appendText(s.buf, data[:room])
+			data = data[room:]
+		}
+		s.flush()
 	}
 	s.buf = appendText(s.buf, data)
 	s.maybeFlush()

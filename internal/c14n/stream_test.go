@@ -141,6 +141,56 @@ func TestStreamChunkedText(t *testing.T) {
 	}
 }
 
+// TestStreamLongTextSliced: a text run several flush thresholds long,
+// delivered in one Text call after a buffered start tag, is escaped
+// slice by slice; escapes on and around each slice boundary come out
+// as escaping the whole run does, and each write to the writer is about
+// one slice.
+func TestStreamLongTextSliced(t *testing.T) {
+	run := []byte(strings.Repeat("abcdefgh", 3*streamFlushAt/8+5))
+	for _, at := range []int{0, 1, streamFlushAt - 4, streamFlushAt - 3, streamFlushAt - 2, 2*streamFlushAt - 3, len(run) - 1} {
+		run[at] = "&<>\r"[at%4]
+	}
+	var out bytes.Buffer
+	w := &maxWriter{w: &out}
+	st, err := NewStream(w, Options{Exclusive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.StartElement("", "r", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Text(run); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.EndElement("", "r"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := append(oracleAppendText([]byte("<r>"), string(run)), "</r>"...)
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("sliced escaping diverges from escaping the whole run (%d vs %d bytes)", out.Len(), len(want))
+	}
+	// The run holds a few escapes, so one escaped slice is a little
+	// over streamFlushAt; staging the run whole writes three times that.
+	if w.max > 2*streamFlushAt {
+		t.Fatalf("largest write %d bytes, want about one slice (%d)", w.max, streamFlushAt)
+	}
+}
+
+// maxWriter records the largest single write.
+type maxWriter struct {
+	w   *bytes.Buffer
+	max int
+}
+
+func (m *maxWriter) Write(p []byte) (int, error) {
+	m.max = max(m.max, len(p))
+	return m.w.Write(p)
+}
+
 // TestStreamSteadyStateAllocs backs the hotpathalloc annotations with a
 // runtime measurement: once warm, feeding tokens through the
 // canonicalizer allocates nothing.

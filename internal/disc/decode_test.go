@@ -115,8 +115,8 @@ func verifiedCorpus(t *testing.T) map[string]*xmldom.Document {
 }
 
 // TestParseClusterMatchesOracle: the decode without a copy yields
-// exactly the model the copy-and-strip decode yields, and leaves the
-// verified document as it was.
+// exactly the model the copy-and-strip decode yields, leaves the
+// verified document as it was, and survives the document's release.
 func TestParseClusterMatchesOracle(t *testing.T) {
 	docs := verifiedCorpus(t)
 	paths, err := filepath.Glob(filepath.Join("..", "xmlstream", "testdata", "cluster-*.xml"))
@@ -153,6 +153,13 @@ func TestParseClusterMatchesOracle(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("decoded cluster differs from the oracle's:\n%s\nwant\n%s", render(got), render(want))
+			}
+			// The model shares nothing with the tree: a fill releases the
+			// tree right after the decode (the domPoison build overwrites
+			// the released nodes).
+			doc.Release()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("decoded cluster changed when its document was released:\n%s\nwant\n%s", render(got), render(want))
 			}
 		})
 	}

@@ -18,7 +18,7 @@ import (
 // fillDoc packages a one-application cluster the way the benchmark
 // suite's corpus does: signed over the whole cluster, then the code
 // encrypted with AES-128-CBC.
-func fillDoc(b *testing.B, stmts int) []byte {
+func fillDoc(b testing.TB, stmts int) []byte {
 	b.Helper()
 	_, creator := experiments.PKIFixture()
 	cl, _ := workload.Cluster(workload.ClusterSpec{
@@ -85,6 +85,31 @@ func BenchmarkFill(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// TestRefillAllocsPinned: a refill of a lib-cold sized document
+// (stmts=60) builds its tree in a recycled arena and releases it when
+// the model is decoded, so it makes at most 100 allocations; it made
+// 209 while every fill left its tree to the GC.
+func TestRefillAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	ctx := context.Background()
+	raw := fillDoc(t, 60)
+	lib := newLib(nil)
+	refill := func() {
+		lib.InvalidateAll()
+		if _, st, err := lib.OpenDocument(ctx, raw); err != nil || st != library.StatusMiss {
+			t.Fatalf("fill: status=%q err=%v", st, err)
+		}
+	}
+	refill()
+	allocs := testing.AllocsPerRun(50, refill)
+	t.Logf("%.0f allocations per refill", allocs)
+	if allocs > 100 {
+		t.Fatalf("a refill made %.0f allocations, want at most 100", allocs)
 	}
 }
 

@@ -146,3 +146,26 @@ func TestKeyHeapCeiling(t *testing.T) {
 		t.Errorf("live heap grew %d bytes keying a %d-byte clip (ceiling %d)", grew, len(raw), ceiling)
 	}
 }
+
+// TestKeyAllocCeiling: keying the same ~32 MiB clip allocates a small
+// constant, not the clip: the canonicalizer escapes a long text run in
+// buffer-sized slices instead of staging it whole (it allocated 33.6 MB
+// when it did).
+func TestKeyAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-MB key pass")
+	}
+	raw := clipDoc(32 << 10) // ~32 MiB
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := canonicalPass(nil, raw); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const ceiling = 2 << 20
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("keying a %d-byte clip allocated %d bytes", len(raw), alloc)
+	if alloc > ceiling {
+		t.Errorf("keying a %d-byte clip allocated %d bytes (ceiling %d)", len(raw), alloc, ceiling)
+	}
+}

@@ -432,7 +432,8 @@ func (l *Library) signerEpochOf(fp string) *atomic.Uint64 {
 func newEpoch() *atomic.Uint64 { return new(atomic.Uint64) }
 
 // fill runs the real verification of raw and caches the verdict. Each
-// attempt parses raw into a private tree (verification mutates it). It
+// attempt parses raw into a private tree (verification mutates it) and
+// releases the tree once the model is decoded. It
 // captures the invalidation generation first and retries (bounded)
 // whenever an invalidation landed while verifying, so a revocation can
 // never race a fill into caching a stale verdict: the retry re-parses
@@ -462,6 +463,7 @@ func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, raw [
 		}
 		res, err := op.OpenDocument(ctx, doc)
 		if err != nil {
+			doc.Release()
 			if errors.Is(err, resilience.ErrCircuitOpen) {
 				// The trust service's breaker is open: nothing can be
 				// verified fresh right now, so the fill fails closed with
@@ -472,13 +474,15 @@ func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, raw [
 			}
 			return nil, fmt.Errorf("library: verification: %w", err)
 		}
-		cluster, err := disc.ParseCluster(res.Doc)
+		cluster, err := disc.ParseCluster(doc)
+		// The model shares nothing with the tree; holding the tree would
+		// keep heap the byte budget does not charge, so its nodes go back
+		// to the parse pool now, before a retry re-parses.
+		doc.Release()
+		res.Doc = nil
 		if err != nil {
 			return nil, fmt.Errorf("library: decode cluster: %w", err)
 		}
-		// The model shares nothing with the tree; holding the tree would
-		// keep heap the byte budget does not charge.
-		res.Doc = nil
 		// Probe degradation after verification: that is when the trust
 		// client knows whether it answered from live service or stale
 		// cache. A verdict filled on stale revocation data is tainted

@@ -146,13 +146,16 @@ func (e *Engine) loadFrom(ctx context.Context, rec *obs.Recorder, r io.Reader) (
 	if err != nil {
 		return nil, fmt.Errorf("player: security processing: %w", err)
 	}
-	cluster, err := disc.ParseCluster(res.Doc)
+	doc := res.Doc
+	cluster, err := disc.ParseCluster(doc)
+	// The session runs the model, not the tree; like a library verdict,
+	// it does not keep the tree alive, and hands its nodes back to the
+	// parse pool.
+	doc.Release()
+	res.Doc = nil
 	if err != nil {
 		return nil, fmt.Errorf("player: decode cluster: %w", err)
 	}
-	// The session runs the model, not the tree; like a library verdict,
-	// it does not keep the tree alive.
-	res.Doc = nil
 	return &Session{Cluster: cluster, OpenResult: res, engine: e, rec: rec}, nil
 }
 

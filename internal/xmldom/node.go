@@ -80,6 +80,10 @@ type Attr = xmlstream.Attr
 // instructions, in document order.
 type Document struct {
 	Children []Node
+
+	// arena owns the parsed nodes until Release; nil for a Clone or a
+	// tree built by hand.
+	arena *arena
 }
 
 // Type implements Node.

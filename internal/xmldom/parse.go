@@ -36,9 +36,37 @@ func ParseString(s string) (*Document, error) {
 func ParseBytes(b []byte) (*Document, error) {
 	builder := NewStreamBuilder()
 	if err := xmlstream.ParseBytes(b, xmlstream.Options{}, builder); err != nil {
+		// Nothing outside the builder saw the partial tree.
+		builder.doc.Release()
 		return nil, err
 	}
 	return builder.Document(), nil
+}
+
+// The synthetic root ParseFragment wraps a fragment in.
+const fragmentOpen, fragmentClose = "<xmldom-fragment-wrapper>", "</xmldom-fragment-wrapper>"
+
+// ParseFragment parses b, which may hold several sibling nodes (the
+// plaintext of a decrypted Content-typed region, say), into detached
+// nodes allocated from d's arena, so d's Release hands them back with
+// the rest of its tree. A document without an arena gets nodes the GC
+// reclaims. The wrapped input is arena scratch too: the builder copies
+// every string out of it.
+func (d *Document) ParseFragment(b []byte) ([]Node, error) {
+	a := d.arena
+	if a == nil {
+		a = getArena()
+	}
+	a.wrap = append(append(append(a.wrap[:0], fragmentOpen...), b...), fragmentClose...)
+	if err := xmlstream.ParseBytes(a.wrap, xmlstream.Options{}, newBuilder(nil, a)); err != nil {
+		return nil, err
+	}
+	nodes := a.pending[0].(*Element).Children
+	a.pending = a.pending[:0]
+	for _, n := range nodes {
+		n.setParent(nil)
+	}
+	return nodes, nil
 }
 
 // ParseWithOptions reads an XML document through the hardened streaming
@@ -52,6 +80,7 @@ func ParseWithOptions(r io.Reader, opts ParseOptions) (*Document, error) {
 	b := NewStreamBuilder()
 	err := xmlstream.Parse(r, xmlstream.Options{MaxDepth: opts.MaxDepth, MaxTokens: opts.MaxTokens}, b)
 	if err != nil {
+		b.doc.Release()
 		return nil, err
 	}
 	return b.Document(), nil

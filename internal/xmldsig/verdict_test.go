@@ -55,11 +55,14 @@ const (
 )
 
 // TestEnvelopedTransformVerdicts runs every verdictCases row through
-// the reference digest runner.
+// the reference digest runner. Each row releases its tree, so the next
+// row parses into a recycled arena (a poisoned one under the domPoison
+// build) and must digest the same.
 func TestEnvelopedTransformVerdicts(t *testing.T) {
 	for _, tc := range verdictCases {
 		t.Run(tc.name, func(t *testing.T) {
 			doc := parseDoc(t, verdictDoc)
+			defer doc.Release()
 			sig := doc.ElementByID("sig")
 			data, err := dereference(tc.uri, doc, nil)
 			if err != nil {

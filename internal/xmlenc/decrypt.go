@@ -88,9 +88,11 @@ func DecryptOctets(ed *xmldom.Element, opts DecryptOptions) ([]byte, error) {
 }
 
 // DecryptElement decrypts an EncryptedData of Type Element or Content in
-// place: the EncryptedData node is replaced by the recovered nodes. It
-// returns the recovered plaintext for callers that also need the octets.
-func DecryptElement(ed *xmldom.Element, opts DecryptOptions) ([]byte, error) {
+// place: the EncryptedData node, which belongs to doc, is replaced by
+// the recovered nodes, parsed into doc's arena so doc's Release hands
+// them back with the rest of the tree. It returns the recovered
+// plaintext for callers that also need the octets.
+func DecryptElement(doc *xmldom.Document, ed *xmldom.Element, opts DecryptOptions) ([]byte, error) {
 	parent := ed.ParentElement()
 	if parent == nil {
 		return nil, errors.New("xmlenc: DecryptElement requires the EncryptedData to have a parent; use DecryptOctets for detached data")
@@ -103,7 +105,7 @@ func DecryptElement(ed *xmldom.Element, opts DecryptOptions) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes, err := parseFragment(plaintext)
+	nodes, err := doc.ParseFragment(plaintext)
 	if err != nil {
 		return nil, fmt.Errorf("xmlenc: decrypted plaintext is not well-formed XML: %w", err)
 	}
@@ -141,7 +143,7 @@ func DecryptAll(doc *xmldom.Document, opts DecryptOptions) (int, error) {
 			return total, nil
 		}
 		for _, ed := range structural {
-			if _, err := DecryptElement(ed, opts); err != nil {
+			if _, err := DecryptElement(doc, ed, opts); err != nil {
 				return total, err
 			}
 			total++
@@ -266,22 +268,4 @@ func cipherValueOf(el *xmldom.Element) ([]byte, error) {
 		return nil, errors.New("xmlenc: missing CipherValue")
 	}
 	return xmldom.DecodeBase64(cv.Text())
-}
-
-// parseFragment parses plaintext that may hold several sibling nodes by
-// wrapping it in a synthetic root, built in one exact-size buffer.
-func parseFragment(b []byte) ([]xmldom.Node, error) {
-	const open, end = "<xmlenc-fragment-wrapper>", "</xmlenc-fragment-wrapper>"
-	wrapped := make([]byte, 0, len(open)+len(b)+len(end))
-	wrapped = append(append(append(wrapped, open...), b...), end...)
-	doc, err := xmldom.ParseBytes(wrapped)
-	if err != nil {
-		return nil, err
-	}
-	// The caller inserts every node, which re-parents it; emptying the
-	// wrapper first keeps each insertion's detach from scanning it.
-	root := doc.Root()
-	nodes := root.Children
-	root.Children = nil
-	return nodes, nil
 }

@@ -326,10 +326,10 @@ func TestSuperEncryption(t *testing.T) {
 	// sequential passes: first pass with k2 reveals inner ED, second
 	// with k1. DecryptAll with a single key cannot do both, so drive
 	// manually.
-	if _, err := DecryptElement(FindEncryptedData(doc2)[0], DecryptOptions{Key: k2}); err != nil {
+	if _, err := DecryptElement(doc2, FindEncryptedData(doc2)[0], DecryptOptions{Key: k2}); err != nil {
 		t.Fatalf("outer: %v", err)
 	}
-	if _, err := DecryptElement(FindEncryptedData(doc2)[0], DecryptOptions{Key: k1}); err != nil {
+	if _, err := DecryptElement(doc2, FindEncryptedData(doc2)[0], DecryptOptions{Key: k1}); err != nil {
 		t.Fatalf("inner: %v", err)
 	}
 	if el, _ := doc2.Root().Find("state/highscores/entry"); el == nil || el.AttrValue("score") != "9000" {
