@@ -97,7 +97,7 @@ fuzz-smoke:
 check: build lint lint-baseline race poison faults chaos fuzz-smoke
 
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	$(GO) test -run '^$$' -bench=. -benchmem ./...
 
 # Regenerate every experiment table (E1-E7, C1).
 tables:

@@ -38,6 +38,9 @@ go test -race ./...
 # The fill and decode tests again with released DOM nodes poisoned
 # (see the Makefile's poison target).
 make poison
+# Every Go benchmark once, so a layer benchmark that fails its own
+# checks is caught without timing anything.
+go test -run '^$' -bench . -benchtime 1x ./...
 # The benchmark suite is a module of its own, so the root `go test ./...`
 # never builds it; its smoke test catches an API change that breaks it.
 (cd cmd/discbench/suite && GOFLAGS= GOPROXY=off GOWORK=off go test ./...)

@@ -71,7 +71,7 @@ func ParsePermissionRequest(doc *xmldom.Document) (*PermissionRequest, error) {
 		AppID: root.AttrValue("appid"),
 		OrgID: root.AttrValue("orgid"),
 	}
-	for _, el := range root.ChildElementsNamed("", "permission") {
+	for _, el := range root.AppendChildElementsNamed(nil, "", "permission") {
 		name, ok := el.Attr("name")
 		if !ok || name == "" {
 			return nil, errors.New("access: <permission> missing name attribute")

@@ -38,7 +38,7 @@ func parsePolicySetElement(el *xmldom.Element) (*PolicySet, error) {
 	if ps.Target, err = parseTarget(el.FirstChildElement("target")); err != nil {
 		return nil, err
 	}
-	for _, pEl := range el.ChildElementsNamed("", "policy") {
+	for _, pEl := range el.AppendChildElementsNamed(nil, "", "policy") {
 		p, err := parsePolicyElement(pEl)
 		if err != nil {
 			return nil, err
@@ -57,7 +57,7 @@ func parsePolicyElement(el *xmldom.Element) (*Policy, error) {
 	if p.Target, err = parseTarget(el.FirstChildElement("target")); err != nil {
 		return nil, err
 	}
-	for _, rEl := range el.ChildElementsNamed("", "rule") {
+	for _, rEl := range el.AppendChildElementsNamed(nil, "", "rule") {
 		r, err := parseRuleElement(rEl)
 		if err != nil {
 			return nil, err
@@ -106,7 +106,7 @@ func parseTarget(el *xmldom.Element) (Target, error) {
 		return nil, nil
 	}
 	var t Target
-	for _, mEl := range el.ChildElementsNamed("", "match") {
+	for _, mEl := range el.AppendChildElementsNamed(nil, "", "match") {
 		m, err := parseMatch(mEl)
 		if err != nil {
 			return nil, err

@@ -109,7 +109,7 @@ func targetForLevel(doc *xmldom.Document, level Level, id string) (*xmldom.Eleme
 	case LevelCluster:
 		return root, nil
 	case LevelTrack:
-		for _, tr := range root.ChildElementsNamed(disc.ClusterNamespace, "track") {
+		for _, tr := range root.AppendChildElementsNamed(nil, disc.ClusterNamespace, "track") {
 			if tr.AttrValue("Id") == id {
 				return tr, nil
 			}

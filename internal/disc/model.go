@@ -205,7 +205,11 @@ func ParseCluster(doc *xmldom.Document) (*InteractiveCluster, error) {
 		return nil, errors.New("disc: document element must be cluster in " + ClusterNamespace)
 	}
 	c := &InteractiveCluster{Title: root.AttrValue("title")}
-	for _, trEl := range root.ChildElementsNamed(ClusterNamespace, "track") {
+	trEls := root.AppendChildElementsNamed(make([]*xmldom.Element, 0, 4), ClusterNamespace, "track")
+	if len(trEls) > 0 {
+		c.Tracks = make([]*Track, 0, len(trEls))
+	}
+	for _, trEl := range trEls {
 		tr, err := parseTrack(trEl)
 		if err != nil {
 			return nil, err
@@ -233,7 +237,11 @@ func parseTrack(el *xmldom.Element) (*Track, error) {
 	}
 	if plEl := el.FirstChildNamed(ClusterNamespace, "playlist"); plEl != nil {
 		pl := &Playlist{Name: plEl.AttrValue("name")}
-		for _, itEl := range plEl.ChildElementsNamed(ClusterNamespace, "playitem") {
+		itEls := plEl.AppendChildElementsNamed(make([]*xmldom.Element, 0, 4), ClusterNamespace, "playitem")
+		if len(itEls) > 0 {
+			pl.Items = make([]PlayItem, 0, len(itEls))
+		}
+		for _, itEl := range itEls {
 			item := PlayItem{ClipID: itEl.AttrValue("clip")}
 			if _, err := fmt.Sscanf(itEl.AttrValue("in"), "%d", &item.InMS); err != nil {
 				return nil, fmt.Errorf("disc: playitem in: %w", err)
@@ -266,7 +274,11 @@ func parseTrack(el *xmldom.Element) (*Track, error) {
 func ParseManifestElement(el *xmldom.Element) (*Manifest, error) {
 	m := &Manifest{ID: el.AttrValue("Id"), PermissionFile: el.AttrValue("permissionfile")}
 	if mk := el.FirstChildNamed(ClusterNamespace, "markup"); mk != nil {
-		for _, smEl := range mk.ChildElementsNamed(ClusterNamespace, "submarkup") {
+		smEls := mk.AppendChildElementsNamed(make([]*xmldom.Element, 0, 4), ClusterNamespace, "submarkup")
+		if len(smEls) > 0 {
+			m.Markup.SubMarkups = make([]SubMarkup, 0, len(smEls))
+		}
+		for _, smEl := range smEls {
 			sm := SubMarkup{Kind: smEl.AttrValue("kind")}
 			if content := firstContent(smEl); content != nil {
 				sm.Content = cloneWithoutSecurityMarkup(content)
@@ -275,7 +287,11 @@ func ParseManifestElement(el *xmldom.Element) (*Manifest, error) {
 		}
 	}
 	if code := el.FirstChildNamed(ClusterNamespace, "code"); code != nil {
-		for _, sEl := range code.ChildElementsNamed(ClusterNamespace, "script") {
+		sEls := code.AppendChildElementsNamed(make([]*xmldom.Element, 0, 4), ClusterNamespace, "script")
+		if len(sEls) > 0 {
+			m.Code.Scripts = make([]Script, 0, len(sEls))
+		}
+		for _, sEl := range sEls {
 			m.Code.Scripts = append(m.Code.Scripts, Script{
 				Language: sEl.AttrValue("language"),
 				Source:   sEl.Text(),
@@ -303,9 +319,23 @@ func isSecurityMarkup(e *xmldom.Element) bool {
 }
 
 // cloneWithoutSecurityMarkup deep-copies e, as e.Clone does, leaving
-// out every security markup element below it.
+// out every security markup element below it. Attrs and Children are
+// allocated once at their final size, and stay nil when empty.
 func cloneWithoutSecurityMarkup(e *xmldom.Element) *xmldom.Element {
-	out := &xmldom.Element{Prefix: e.Prefix, Local: e.Local, Attrs: append([]xmldom.Attr(nil), e.Attrs...)}
+	out := &xmldom.Element{Prefix: e.Prefix, Local: e.Local}
+	if len(e.Attrs) > 0 {
+		out.Attrs = append(make([]xmldom.Attr, 0, len(e.Attrs)), e.Attrs...)
+	}
+	kept := 0
+	for _, c := range e.Children {
+		if ce, ok := c.(*xmldom.Element); !ok || !isSecurityMarkup(ce) {
+			kept++
+		}
+	}
+	if kept == 0 {
+		return out
+	}
+	out.Children = make([]xmldom.Node, 0, kept)
 	for _, c := range e.Children {
 		ce, ok := c.(*xmldom.Element)
 		switch {

@@ -90,8 +90,11 @@ func BenchmarkFill(b *testing.B) {
 
 // TestRefillAllocsPinned: a refill of a lib-cold sized document
 // (stmts=60) builds its tree in a recycled arena and releases it when
-// the model is decoded, so it makes at most 100 allocations; it made
-// 209 while every fill left its tree to the GC.
+// the model is decoded, looks up child elements into stack buffers and
+// finds its certificates in the memo without decoding them, so it makes
+// at most 64 allocations (60 measured). It made 209 while every fill
+// left its tree to the GC, and 87 while each child lookup built a
+// fresh slice and each certificate was decoded to be hashed.
 func TestRefillAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items")
@@ -108,8 +111,8 @@ func TestRefillAllocsPinned(t *testing.T) {
 	refill()
 	allocs := testing.AllocsPerRun(50, refill)
 	t.Logf("%.0f allocations per refill", allocs)
-	if allocs > 100 {
-		t.Fatalf("a refill made %.0f allocations, want at most 100", allocs)
+	if allocs > 64 {
+		t.Fatalf("a refill made %.0f allocations, want at most 64", allocs)
 	}
 }
 

@@ -39,7 +39,7 @@ func ParseLayout(el *xmldom.Element) (*Layout, error) {
 	}
 	l := &Layout{}
 	seen := map[string]bool{}
-	for _, rEl := range el.ChildElementsNamed("", "region") {
+	for _, rEl := range el.AppendChildElementsNamed(nil, "", "region") {
 		r := Region{ID: rEl.AttrValue("id")}
 		if r.ID == "" {
 			return nil, errors.New("markup: <region> missing id")

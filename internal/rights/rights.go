@@ -103,7 +103,7 @@ func Parse(doc *xmldom.Document) (*License, error) {
 		return nil, errors.New("rights: document element must be license in " + Namespace)
 	}
 	l := &License{ID: root.AttrValue("Id"), Issuer: root.AttrValue("issuer")}
-	for _, el := range root.ChildElementsNamed(Namespace, "grant") {
+	for _, el := range root.AppendChildElementsNamed(nil, Namespace, "grant") {
 		g := Grant{
 			Principal: el.AttrValue("principal"),
 			Right:     Right(el.AttrValue("right")),

@@ -17,15 +17,23 @@ func DecodeBase64(s string) ([]byte, error) {
 	if strings.IndexByte(s, ' ') < 0 && strings.IndexByte(s, '\t') < 0 {
 		return base64.StdEncoding.DecodeString(s)
 	}
-	compact := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case ' ', '\t', '\n', '\r':
-		default:
-			compact = append(compact, s[i])
-		}
-	}
+	compact := AppendStripped(make([]byte, 0, len(s)), s)
 	dst := make([]byte, base64.StdEncoding.DecodedLen(len(compact)))
 	n, err := base64.StdEncoding.Decode(dst, compact)
 	return dst[:n], err
+}
+
+// AppendStripped appends s to dst without its XML whitespace (space,
+// TAB, LF, CR), copying the runs between them whole. What it appends is
+// exactly the text DecodeBase64 decodes, so the decoded bytes are a
+// function of it.
+func AppendStripped(dst []byte, s string) []byte {
+	seg := 0
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c <= ' ' && (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
+			dst = append(dst, s[seg:i]...)
+			seg = i + 1
+		}
+	}
+	return append(dst, s[seg:]...)
 }

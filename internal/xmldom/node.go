@@ -333,10 +333,11 @@ func (e *Element) FirstChildElement(local string) *Element {
 	return nil
 }
 
-// ChildElementsNamed returns child elements matching namespace URI and
-// local name. An empty ns matches any namespace.
-func (e *Element) ChildElementsNamed(ns, local string) []*Element {
-	var out []*Element
+// AppendChildElementsNamed appends the child elements matching
+// namespace URI and local name to dst and returns the extended slice.
+// An empty ns matches any namespace. A caller that only ranges over the
+// matches passes a small stack buffer, so the lookup allocates nothing.
+func (e *Element) AppendChildElementsNamed(dst []*Element, ns, local string) []*Element {
 	for _, c := range e.Children {
 		ce, ok := c.(*Element)
 		if !ok || ce.Local != local {
@@ -345,9 +346,9 @@ func (e *Element) ChildElementsNamed(ns, local string) []*Element {
 		if ns != "" && ce.NamespaceURI() != ns {
 			continue
 		}
-		out = append(out, ce)
+		dst = append(dst, ce)
 	}
-	return out
+	return dst
 }
 
 // FirstChildNamed returns the first child element matching namespace URI

@@ -492,11 +492,16 @@ func TestAttrNamespaceURI(t *testing.T) {
 func TestNamedChildLookups(t *testing.T) {
 	doc := mustParse(t, `<r xmlns:a="urn:a" xmlns:b="urn:b"><a:k/><b:k/><k/></r>`)
 	r := doc.Root()
-	if got := len(r.ChildElementsNamed("urn:a", "k")); got != 1 {
+	if got := len(r.AppendChildElementsNamed(nil, "urn:a", "k")); got != 1 {
 		t.Errorf("urn:a k count = %d", got)
 	}
-	if got := len(r.ChildElementsNamed("", "k")); got != 3 {
+	if got := len(r.AppendChildElementsNamed(nil, "", "k")); got != 3 {
 		t.Errorf("any-ns k count = %d", got)
+	}
+	// Matches are appended after what dst already holds.
+	buf := append(make([]*Element, 0, 4), r)
+	if got := r.AppendChildElementsNamed(buf, "urn:b", "k"); len(got) != 2 || got[0] != r || got[1].Prefix != "b" {
+		t.Errorf("append after an existing entry = %+v", got)
 	}
 	if el := r.FirstChildNamed("urn:b", "k"); el == nil || el.Prefix != "b" {
 		t.Errorf("FirstChildNamed(urn:b) = %+v", el)

@@ -144,7 +144,7 @@ func TestEmptyReferenceListRejected(t *testing.T) {
 	}
 	sig := FindSignature(doc)
 	si := sig.FirstChildNamed(xmlsecuri.DSigNamespace, "SignedInfo")
-	for _, ref := range si.ChildElementsNamed(xmlsecuri.DSigNamespace, "Reference") {
+	for _, ref := range si.AppendChildElementsNamed(nil, xmlsecuri.DSigNamespace, "Reference") {
 		ref.Detach()
 	}
 	if _, err := Verify(doc, sig, VerifyOptions{}); err == nil {

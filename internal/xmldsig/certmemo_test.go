@@ -8,6 +8,7 @@ import (
 	"crypto/x509"
 	"encoding/base64"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -71,6 +72,40 @@ func TestCertMemoSameDERSameCertificate(t *testing.T) {
 	}
 	if got := xmldsig.CertMemoLen(); got != len(id.Chain) {
 		t.Fatalf("memo holds %d certificates, want %d", got, len(id.Chain))
+	}
+}
+
+// TestCertMemoHitSkipsDecode: once a chain is memoized, parsing a
+// ds:KeyInfo that embeds it decodes no base64 and copies no text to the
+// heap. Its only allocations are the result and its certificate list,
+// each smaller than either DER; decoding the two certificates, as
+// every parse did when the memo was keyed by DER, costs at least one
+// allocation of each DER's size.
+func TestCertMemoHitSkipsDecode(t *testing.T) {
+	root := newRoot(t, "Hit Root")
+	id := newIdentity(t, root, "Hit Studio")
+	ki := keyInfoOf(t, id.Chain...)
+	xmldsig.ResetMemos()
+	parse := func() {
+		if _, err := xmldsig.ParseKeyInfo(ki); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parse()
+	if got := testing.AllocsPerRun(100, parse); got > 2 {
+		t.Errorf("a memoized chain's KeyInfo made %.0f allocations, want at most 2", got)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		parse()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	smallest := min(len(id.Chain[0]), len(id.Chain[1]))
+	if perRun >= uint64(smallest) {
+		t.Errorf("a memoized chain's KeyInfo allocated %d bytes, not less than a %d-byte DER", perRun, smallest)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"discsec/internal/memo"
+	"discsec/internal/xmldom"
 )
 
 // The memos' caps. A player or server sees one embedded chain of a few
@@ -38,18 +39,34 @@ func (pc *parsedCert) leafFingerprint() string {
 	return pc.fingerprint
 }
 
-// certMemo maps the SHA-256 of a certificate's exact DER to its parse;
-// a parse failure is never stored.
+// certMemo maps the SHA-256 of a ds:X509Certificate's text, XML
+// whitespace removed, to the parse of the DER it decodes to; a decode
+// or parse failure is never stored.
 var certMemo = memo.New[[sha256.Size]byte, *parsedCert](certMemoCap)
 
-// parseCertificate parses der, or returns the parse this process made
-// of the same bytes, together with the SHA-256 of der. Parsing is a
-// pure function of the bytes, so a memo keyed on their digest returns
-// exactly what a fresh parse would.
-func parseCertificate(der []byte) (*parsedCert, [sha256.Size]byte, error) {
-	sum := sha256.Sum256(der)
+// certTextStack is the longest certificate text whose key is computed
+// from a stack copy; a longer one is copied to the heap.
+const certTextStack = 2 << 10
+
+// parseCertificateText returns the parse of the certificate whose
+// base64 text is text, together with the memo key: the SHA-256 of text
+// with XML whitespace removed (xmldom.AppendStripped). That is exactly
+// the input xmldom.DecodeBase64 decodes, so decoding and parsing are
+// pure functions of the key, and a memoized parse is what a fresh one
+// would be. Only a miss decodes the base64.
+func parseCertificateText(text string) (*parsedCert, [sha256.Size]byte, error) {
+	var stack [certTextStack]byte
+	compact := stack[:0]
+	if len(text) > certTextStack {
+		compact = make([]byte, 0, len(text))
+	}
+	sum := sha256.Sum256(xmldom.AppendStripped(compact, text))
 	if pc, ok := certMemo.Get(sum); ok {
 		return pc, sum, nil
+	}
+	der, err := xmldom.DecodeBase64(text)
+	if err != nil {
+		return nil, sum, err
 	}
 	cert, err := x509.ParseCertificate(der)
 	if err != nil {
@@ -76,8 +93,8 @@ func ResetMemos() {
 // never aliases a new one.
 type chainKey struct {
 	roots, intermediates *x509.CertPool
-	// sum is ParsedKeyInfo.chainSum: the SHA-256 of the DER sums of
-	// every embedded certificate, leaf first.
+	// sum is ParsedKeyInfo.chainSum: the SHA-256 of the certificate
+	// memo keys of every embedded certificate, leaf first.
 	sum [sha256.Size]byte
 }
 

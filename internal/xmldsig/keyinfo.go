@@ -76,8 +76,9 @@ type ParsedKeyInfo struct {
 	// ds:KeyInfo that embeds the same DER: read it, never modify it.
 	Certificates []*x509.Certificate
 
-	// chainSum is the SHA-256 of the DER sums of Certificates, in
-	// order: the chain memo's name for the embedded sequence.
+	// chainSum is the SHA-256 of the certificate memo keys of
+	// Certificates, in order: the chain memo's name for the embedded
+	// sequence. Each key names one DER, so the sum names one sequence.
 	chainSum [sha256.Size]byte
 	// leafFingerprint is KeyFingerprint of the leaf's public key.
 	leafFingerprint string
@@ -102,27 +103,26 @@ func ParseKeyInfo(ki *xmldom.Element) (*ParsedKeyInfo, error) {
 			out.KeyValue = pub
 		}
 	}
-	// The DER sums, on the stack for chains of up to four certificates.
+	// The memo keys and the certificates, on the stack for chains of up
+	// to four certificates.
 	var sumsBuf [4 * sha256.Size]byte
-	sums := sumsBuf[:0]
-	for _, xd := range ki.ChildElementsNamed(xmlsecuri.DSigNamespace, "X509Data") {
-		for _, xc := range xd.ChildElementsNamed(xmlsecuri.DSigNamespace, "X509Certificate") {
-			der, err := xmldom.DecodeBase64(xc.Text())
+	var certsBuf [4]*x509.Certificate
+	sums, certs := sumsBuf[:0], certsBuf[:0]
+	for _, xd := range ki.AppendChildElementsNamed(make([]*xmldom.Element, 0, 4), xmlsecuri.DSigNamespace, "X509Data") {
+		for _, xc := range xd.AppendChildElementsNamed(make([]*xmldom.Element, 0, 4), xmlsecuri.DSigNamespace, "X509Certificate") {
+			pc, sum, err := parseCertificateText(xc.Text())
 			if err != nil {
 				return nil, fmt.Errorf("xmldsig: X509Certificate: %w", err)
 			}
-			pc, sum, err := parseCertificate(der)
-			if err != nil {
-				return nil, fmt.Errorf("xmldsig: X509Certificate: %w", err)
-			}
-			if len(out.Certificates) == 0 {
+			if len(certs) == 0 {
 				out.leafFingerprint = pc.leafFingerprint()
 			}
-			out.Certificates = append(out.Certificates, pc.cert)
+			certs = append(certs, pc.cert)
 			sums = append(sums, sum[:]...)
 		}
 	}
-	if len(out.Certificates) > 0 {
+	if len(certs) > 0 {
+		out.Certificates = append([]*x509.Certificate(nil), certs...)
 		out.chainSum = sha256.Sum256(sums)
 	}
 	return out, nil

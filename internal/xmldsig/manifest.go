@@ -111,9 +111,9 @@ func ValidateManifests(doc *xmldom.Document, sig *xmldom.Element, opts VerifyOpt
 		return nil, ErrNoSignature
 	}
 	var out []ManifestReferenceResult
-	for _, obj := range sig.ChildElementsNamed(xmlsecuri.DSigNamespace, "Object") {
-		for _, man := range obj.ChildElementsNamed(xmlsecuri.DSigNamespace, "Manifest") {
-			for _, refEl := range man.ChildElementsNamed(xmlsecuri.DSigNamespace, "Reference") {
+	for _, obj := range sig.AppendChildElementsNamed(nil, xmlsecuri.DSigNamespace, "Object") {
+		for _, man := range obj.AppendChildElementsNamed(nil, xmlsecuri.DSigNamespace, "Manifest") {
+			for _, refEl := range man.AppendChildElementsNamed(nil, xmlsecuri.DSigNamespace, "Reference") {
 				out = append(out, validateManifestReference(doc, sig, refEl, opts))
 			}
 		}

@@ -260,11 +260,11 @@ func signatureReferences(sig *xmldom.Element) []*xmldom.Element {
 	}
 	var refs []*xmldom.Element
 	if si := sig.FirstChildNamed(xmlsecuri.DSigNamespace, "SignedInfo"); si != nil {
-		refs = append(refs, si.ChildElementsNamed(xmlsecuri.DSigNamespace, "Reference")...)
+		refs = append(refs, si.AppendChildElementsNamed(nil, xmlsecuri.DSigNamespace, "Reference")...)
 	}
-	for _, obj := range sig.ChildElementsNamed(xmlsecuri.DSigNamespace, "Object") {
-		for _, man := range obj.ChildElementsNamed(xmlsecuri.DSigNamespace, "Manifest") {
-			refs = append(refs, man.ChildElementsNamed(xmlsecuri.DSigNamespace, "Reference")...)
+	for _, obj := range sig.AppendChildElementsNamed(nil, xmlsecuri.DSigNamespace, "Object") {
+		for _, man := range obj.AppendChildElementsNamed(nil, xmlsecuri.DSigNamespace, "Manifest") {
+			refs = append(refs, man.AppendChildElementsNamed(nil, xmlsecuri.DSigNamespace, "Reference")...)
 		}
 	}
 	return refs

@@ -243,11 +243,14 @@ func parseTransforms(ref *xmldom.Element) ([]transformSpec, error) {
 	if ts == nil {
 		return nil, nil
 	}
-	trs := ts.ChildElementsNamed(xmlsecuri.DSigNamespace, "Transform")
+	trs := ts.AppendChildElementsNamed(make([]*xmldom.Element, 0, 4), xmlsecuri.DSigNamespace, "Transform")
 	if len(trs) > MaxTransforms {
 		return nil, fmt.Errorf("xmldsig: %d Transforms exceeds limit %d", len(trs), MaxTransforms)
 	}
 	var chain []transformSpec
+	if len(trs) > 0 {
+		chain = make([]transformSpec, 0, len(trs))
+	}
 	for _, tr := range trs {
 		alg, ok := tr.Attr("Algorithm")
 		if !ok {
@@ -259,7 +262,7 @@ func parseTransforms(ref *xmldom.Element) ([]transformSpec, error) {
 				spec.inclusivePrefixes = splitPrefixList(pl)
 			}
 		}
-		for _, exc := range tr.ChildElementsNamed(xmlsecuri.DecryptNamespace, "Except") {
+		for _, exc := range tr.AppendChildElementsNamed(make([]*xmldom.Element, 0, 4), xmlsecuri.DecryptNamespace, "Except") {
 			if uri, ok := exc.Attr("URI"); ok {
 				spec.exceptURIs = append(spec.exceptURIs, uri)
 			}
@@ -281,7 +284,7 @@ func DecryptionExceptions(sig *xmldom.Element) ([]string, error) {
 	}
 	seen := map[string]bool{}
 	var out []string
-	for _, ref := range si.ChildElementsNamed(xmlsecuri.DSigNamespace, "Reference") {
+	for _, ref := range si.AppendChildElementsNamed(make([]*xmldom.Element, 0, 4), xmlsecuri.DSigNamespace, "Reference") {
 		chain, err := parseTransforms(ref)
 		if err != nil {
 			return nil, err

@@ -181,7 +181,7 @@ func Verify(doc *xmldom.Document, sig *xmldom.Element, opts VerifyOptions) (*Ver
 		return nil, fmt.Errorf("xmldsig: signature method %q not accepted by policy", sigMethod)
 	}
 
-	refs := si.ChildElementsNamed(xmlsecuri.DSigNamespace, "Reference")
+	refs := si.AppendChildElementsNamed(make([]*xmldom.Element, 0, 4), xmlsecuri.DSigNamespace, "Reference")
 	if len(refs) == 0 {
 		return nil, errors.New("xmldsig: SignedInfo contains no References")
 	}
@@ -189,7 +189,7 @@ func Verify(doc *xmldom.Document, sig *xmldom.Element, opts VerifyOptions) (*Ver
 		return nil, fmt.Errorf("xmldsig: %d References exceeds limit %d", len(refs), MaxReferences)
 	}
 
-	result := &VerifyResult{SignatureMethod: sigMethod}
+	result := &VerifyResult{SignatureMethod: sigMethod, References: make([]ReferenceResult, 0, len(refs))}
 
 	// Reference validation.
 	for _, refEl := range refs {

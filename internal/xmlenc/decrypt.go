@@ -194,7 +194,7 @@ func resolveContentKey(ed *xmldom.Element, algorithm string, opts DecryptOptions
 		return nil, errors.New("xmlenc: no KeyInfo and no shared key configured")
 	}
 
-	if eks := ki.ChildElementsNamed(xmlsecuri.EncNamespace, "EncryptedKey"); len(eks) > 0 {
+	if eks := ki.AppendChildElementsNamed(nil, xmlsecuri.EncNamespace, "EncryptedKey"); len(eks) > 0 {
 		// Multi-recipient data carries one EncryptedKey per addressee;
 		// try each until one opens with our key material.
 		var lastErr error

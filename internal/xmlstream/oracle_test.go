@@ -211,6 +211,31 @@ var tokenizerSeeds = []string{
 	`<r>` + strings.Repeat("0123456789abcdef", 300) + `</r>`,
 }
 
+// endTagSeeds are FuzzTokenizerDifferential seeds for the end tag
+// matched in place against the open element: names one byte away from
+// it on either side of the colon, names ending in a colon, space
+// before '>', bytes that may not follow a name, and an end tag cut by
+// the edge of the first 32 KiB read window at every byte.
+var endTagSeeds = func() []string {
+	seeds := []string{
+		`<a></ab>`, `<ab></a>`, `<a:bc></a:b>`, `<a:b></a:bc>`, `<x:></x:>`, `<a></a:>`, `<a:></a>`,
+		`<a:b></b>`, `<a:b></a>`, `<a:b></a_b>`, `<a:b></a:>`, `<a:b></c:b>`, `<b></a:b>`, `<:a></:a>`, `<a:b></a::b>`,
+		`<a></a >`, "<a></a\n\t\r >", `<p:a xmlns:p="urn:p"></p:a   >`, `<a></a x>`, `<a></a/>`, `<a></a =>`,
+		`<a></a`, `<a></a `, `<a></`, `<a><b></a></b>`, `<a><b></b></a></a>`,
+		"<a\u00e9></a>", "<a></a\u00e9>", "<a\u00e9></a\u00e9 >", "<a></a\xff>", "<a></a\x00>",
+	}
+	for _, name := range []string{"cluster", "ds:X509Certificate"} {
+		for _, closer := range []string{"</" + name + ">", "</" + name + " \n>"} {
+			for k := 1; k <= len(closer); k++ {
+				open := "<" + name + ` xmlns:ds="urn:ds">`
+				pad := strings.Repeat("z", windowSize-k-len(open))
+				seeds = append(seeds, open+pad+closer)
+			}
+		}
+	}
+	return seeds
+}()
+
 // tokenizerRun is one way of driving the scanner over an input.
 type tokenizerRun struct {
 	name string
@@ -270,6 +295,9 @@ func FuzzTokenizerDifferential(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	for _, s := range wordSkipSeeds {
+		f.Add([]byte(s))
+	}
+	for _, s := range endTagSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

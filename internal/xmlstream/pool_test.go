@@ -82,3 +82,25 @@ func TestPooledParserReuseNoStateBleed(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPooledReparseAllocsPinned: re-parsing a corpus document with a
+// pooled parser finds every name and short value in the interning
+// table, so it allocates nothing. A hash that sends three of one
+// document's recurring strings to one two-way set shows up here: with
+// byte-at-a-time FNV-1a in place of internHash, cluster-large costs 2.
+func TestPooledReparseAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	for _, doc := range corpus(t) {
+		parse := func() {
+			if err := ParseBytes(doc.data, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		parse()
+		if got := testing.AllocsPerRun(50, parse); got > 0 {
+			t.Errorf("%s: a pooled re-parse made %.0f allocations, want 0", doc.name, got)
+		}
+	}
+}

@@ -217,10 +217,16 @@ func skipSpace(b []byte, i int) int {
 
 // qname scans the name at b[i] and splits it at its colon the way a
 // raw tokenizer does: a name with a colon at either end keeps it in the
-// local part, a name with two colons is an error.
+// local part, a name with two colons is an error. The scan loop notes
+// the first colon and whether another follows.
 func (p *parser) qname(b []byte, i int) (prefix, local string, next int, err error) {
-	j, seen := i, byte(0)
+	j, seen, colon, colons := i, byte(0), -1, 0
 	for j < len(b) && nameByte[b[j]] {
+		if b[j] == ':' {
+			if colons++; colon < 0 {
+				colon = j - i
+			}
+		}
 		seen |= b[j]
 		j++
 	}
@@ -234,24 +240,53 @@ func (p *parser) qname(b []byte, i int) (prefix, local string, next int, err err
 	if seen < utf8.RuneSelf && !nameStartByte[nb[0]] || seen >= utf8.RuneSelf && !validName(nb) {
 		return "", "", 0, p.syntax(p.pos+i, "invalid XML name")
 	}
-	if c := bytes.IndexByte(nb, ':'); c >= 0 {
-		if bytes.IndexByte(nb[c+1:], ':') >= 0 {
-			return "", "", 0, p.syntax(p.pos+i, "name with more than one colon")
-		}
-		if c > 0 && c < len(nb)-1 {
-			return p.intern(nb[:c]), p.intern(nb[c+1:]), j, nil
-		}
+	if colons > 1 {
+		return "", "", 0, p.syntax(p.pos+i, "name with more than one colon")
+	}
+	if colon > 0 && colon < len(nb)-1 {
+		return p.intern(nb[:colon]), p.intern(nb[colon+1:]), j, nil
 	}
 	return "", p.intern(nb), j, nil
+}
+
+// Interning hash multipliers: the 64-bit golden ratio and a large odd
+// constant with well-spread bits.
+const (
+	internMul0 = 0x9e3779b97f4a7c15
+	internMul1 = 0xbf58476d1ce4e5b9
+)
+
+// internHash hashes b for the interning table a word at a time: the
+// length and up to three loads (first, middle and last eight bytes;
+// shorter names load what they have) folded in by multiply-xorshift.
+// Names and short values up to 24 bytes are covered whole; longer ones
+// are sampled, which only costs a collision in a two-way set.
+//
+//discvet:hotpath runs for every element, attribute name and short value
+func internHash(b []byte) uint32 {
+	n := len(b)
+	var x, y, z uint64
+	switch {
+	case n >= 8:
+		x = binary.LittleEndian.Uint64(b)
+		y = binary.LittleEndian.Uint64(b[(n-8)/2:])
+		z = binary.LittleEndian.Uint64(b[n-8:])
+	case n >= 4:
+		x = uint64(binary.LittleEndian.Uint32(b))
+		z = uint64(binary.LittleEndian.Uint32(b[n-4:]))
+	case n > 0:
+		x = uint64(b[0]) | uint64(b[n/2])<<8 | uint64(b[n-1])<<16
+	}
+	h := (uint64(n) ^ x) * internMul0
+	h = (h ^ h>>31 ^ y) * internMul1
+	h = (h ^ h>>29 ^ z) * internMul0
+	return uint32(h >> 32)
 }
 
 // intern returns the string for b, reusing an earlier one with the
 // same bytes so repeated names and values cost no allocation.
 func (p *parser) intern(b []byte) string {
-	h := uint32(2166136261) // FNV-1a
-	for _, c := range b {
-		h = (h ^ uint32(c)) * 16777619
-	}
+	h := internHash(b)
 	set := p.names[2*(h%(internSlots/2)):][:2]
 	if set[0] == string(b) {
 		return set[0]
@@ -327,19 +362,19 @@ func (p *parser) startTag(b []byte) error {
 
 // attrValue scans a quoted attribute value starting after the quote at
 // b[i-1]. Values without references or CRs are sliced straight from
-// the window; the rest are unescaped into p.val.
+// the window; the rest are unescaped into p.val. Plain bytes are passed
+// over a word at a time (attrRun).
 func (p *parser) attrValue(b []byte, i int, quote byte) (string, int, error) {
 	start, esc := i, false
-	for i < len(b) {
-		c := b[i]
-		if attrClass[c] == 0 || (c == '"' || c == '\'') && c != quote {
-			if esc {
-				p.val = append(p.val, c)
-			}
-			i++
-			continue
+	for {
+		j := attrRun(b, i, quote)
+		if esc {
+			p.val = append(p.val, b[i:j]...)
 		}
-		switch {
+		if i = j; i == len(b) {
+			return "", 0, errMore
+		}
+		switch c := b[i]; {
 		case c == quote:
 			v := b[start:i]
 			if esc {
@@ -386,7 +421,40 @@ func (p *parser) attrValue(b []byte, i int, quote byte) (string, int, error) {
 			return "", 0, p.syntax(p.pos+i, "illegal character in attribute value")
 		}
 	}
-	return "", 0, errMore
+}
+
+// attrStops reports whether attrValue must look at c inside a value
+// quoted with quote: the closing quote, or a byte the attribute class
+// marks other than the other quote character.
+func attrStops(c, quote byte) bool {
+	return c == quote || attrClass[c] != 0 && c != '"' && c != '\''
+}
+
+// attrRun returns the index of the first byte at or after i that
+// attrStops, or len(b). It is charsRun's word skip for attribute
+// values: a word is suspect when a lane holds a byte >= 0x80, a control
+// byte (which covers CR), either quote, '<' or '&', and the byte loop
+// takes over at the first suspect byte.
+//
+//discvet:hotpath the scanner's inner loop over attribute values
+func attrRun(b []byte, i int, quote byte) int {
+	for i+8 <= len(b) {
+		x := binary.LittleEndian.Uint64(b[i:])
+		m := x&lanesHigh | (x-0x20*lanesLow)&^x&lanesHigh |
+			LanesHolding(x, '"') | LanesHolding(x, '\'') | LanesHolding(x, '<') | LanesHolding(x, '&')
+		if m == 0 {
+			i += 8
+			continue
+		}
+		if i += bits.TrailingZeros64(m) >> 3; attrStops(b[i], quote) {
+			return i
+		}
+		i++
+	}
+	for i < len(b) && !attrStops(b[i], quote) {
+		i++
+	}
+	return i
 }
 
 var (
@@ -495,7 +563,19 @@ func isChar(r rune) bool {
 		r >= 0x10000 && r <= utf8.MaxRune
 }
 
+// endTag scans an end tag. One that names the open element, as written
+// (prefix:local), is matched in place: the name bytes, optional space,
+// '>' (neither of which can continue a name). Anything else — another
+// name, an error, a tag cut off by the window's edge — goes through
+// qname and endElement's mismatch check.
 func (p *parser) endTag(b []byte) error {
+	if n := len(p.stack); n > 0 {
+		if i := closesOpen(b, p.stack[n-1]); i > 0 {
+			top := p.stack[n-1]
+			p.pos += i + 1
+			return p.endElement(top.prefix, top.local)
+		}
+	}
 	prefix, local, i, err := p.qname(b, 2)
 	if err != nil {
 		return err
@@ -509,6 +589,33 @@ func (p *parser) endTag(b []byte) error {
 	}
 	p.pos += i + 1
 	return p.endElement(prefix, local)
+}
+
+// closesOpen returns the index of the '>' of the end tag at b when it
+// names open exactly as written, else -1.
+func closesOpen(b []byte, open name) int {
+	i := 2
+	if open.prefix != "" {
+		if i = hasAt(b, i, open.prefix); i < 0 || i == len(b) || b[i] != ':' {
+			return -1
+		}
+		i++
+	}
+	if i = hasAt(b, i, open.local); i < 0 {
+		return -1
+	}
+	if i = skipSpace(b, i); i == len(b) || b[i] != '>' {
+		return -1
+	}
+	return i
+}
+
+// hasAt returns the index after s when b holds s at i, else -1.
+func hasAt(b []byte, i int, s string) int {
+	if len(b)-i < len(s) || string(b[i:i+len(s)]) != s {
+		return -1
+	}
+	return i + len(s)
 }
 
 func (p *parser) comment(b []byte) error {
@@ -569,36 +676,40 @@ func (p *parser) procInst(b []byte) error {
 
 // checkDecl rejects XML declarations for other versions or encodings.
 func (p *parser) checkDecl(data []byte) error {
-	if v := declParam(data, "version"); v != "" && v != "1.0" {
-		return errUnsupportedDecl("version", v)
+	if v := declParam(data, declVersion); len(v) > 0 && string(v) != "1.0" {
+		return errUnsupportedDecl("version", string(v))
 	}
-	if enc := declParam(data, "encoding"); enc != "" && !strings.EqualFold(enc, "utf-8") {
-		return errUnsupportedDecl("encoding", enc)
+	if enc := declParam(data, declEncoding); len(enc) > 0 && !bytes.EqualFold(enc, utf8Name) {
+		return errUnsupportedDecl("encoding", string(enc))
 	}
 	return nil
 }
 
-// declParam returns the quoted value of param="..." (or '...') in an
-// XML declaration's body, "" when absent or unterminated.
-func declParam(data []byte, param string) string {
-	s := string(data)
-	key := param + "="
-	for i := 0; i < len(s); {
-		k := strings.Index(s[i:], key)
-		if k < 0 || i+k+len(key) >= len(s) {
-			return ""
+var (
+	declVersion  = []byte("version=")
+	declEncoding = []byte("encoding=")
+	utf8Name     = []byte("utf-8")
+)
+
+// declParam returns the quoted value after key (param=) in an XML
+// declaration's body, read in place; empty when absent or unterminated.
+func declParam(data, key []byte) []byte {
+	for i := 0; i < len(data); {
+		k := bytes.Index(data[i:], key)
+		if k < 0 || i+k+len(key) >= len(data) {
+			return nil
 		}
 		at := i + k + len(key)
 		i = at + 1
-		if q := s[at]; q == '\'' || q == '"' {
-			end := strings.IndexByte(s[i:], q)
+		if q := data[at]; q == '\'' || q == '"' {
+			end := bytes.IndexByte(data[i:], q)
 			if end < 0 {
-				return ""
+				return nil
 			}
-			return s[i : i+end]
+			return data[i : i+end]
 		}
 	}
-	return ""
+	return nil
 }
 
 // chars scans one run of character data starting at pos — a text run

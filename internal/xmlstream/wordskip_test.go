@@ -58,3 +58,40 @@ func TestCharsRunMatchesByteLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestAttrRunMatchesByteLoop: for every byte value at each of 16
+// offsets in a clean value, from each start within a word, attrRun
+// stops where a byte loop over attrStops stops, under both quote
+// characters.
+func TestAttrRunMatchesByteLoop(t *testing.T) {
+	for _, quote := range []byte{'"', '\''} {
+		for off := 0; off < 16; off++ {
+			for c := 0; c < 256; c++ {
+				b := []byte(strings.Repeat("a", off) + string(rune(0)) + strings.Repeat("b", 9))
+				b[off] = byte(c)
+				for start := 0; start < 8 && start <= off; start++ {
+					want := start
+					for want < len(b) && !attrStops(b[want], quote) {
+						want++
+					}
+					if got := attrRun(b, start, quote); got != want {
+						t.Fatalf("quote %c byte %#x at %d from %d: attrRun = %d, byte loop %d", quote, c, off, start, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAttrStopsMatchesClass: attrStops is the attribute class with the
+// other quote character let through.
+func TestAttrStopsMatchesClass(t *testing.T) {
+	for _, quote := range []byte{'"', '\''} {
+		for c := 0; c < 256; c++ {
+			want := attrClass[c] != 0 && !((c == '"' || c == '\'') && byte(c) != quote)
+			if got := attrStops(byte(c), quote); got != want {
+				t.Fatalf("quote %c byte %#x: attrStops = %v, want %v", quote, c, got, want)
+			}
+		}
+	}
+}
