@@ -39,13 +39,16 @@ race:
 
 # Poisoned-release gate: under the domPoison tag, Document.Release
 # overwrites every node, attribute and child slot it hands back with a
-# sentinel, so a model, verdict or session that kept part of a released
-# tree decodes wrong. Covers the xmldsig verdict table, the cluster
-# decode oracle, the library fills (verdict heap charge included), the
-# player's RunApplication tests and the cluster and server paths.
+# sentinel (and, as in every build, zeroes the text), so a model,
+# verdict or session that kept part of a released tree decodes wrong.
+# Covers the xmldsig verdict table, the cluster decode oracle, the
+# library fills (verdict heap charge and arena reuse included), the
+# player's RunApplication tests, the cluster and server paths, and the
+# decryption layers, whose decrypted fragments' text lives in the arena.
 poison:
 	$(GO) test -tags domPoison ./internal/xmldom ./internal/library ./internal/disc \
-		./internal/player ./internal/cluster ./internal/server ./internal/xmldsig
+		./internal/player ./internal/cluster ./internal/server ./internal/xmldsig \
+		./internal/xmlenc ./internal/dectrans ./internal/core
 
 # Fault-matrix gate: the deterministic fault-injection suites
 # (internal/faults schedules driving resets, timeouts, stalls,

@@ -34,12 +34,22 @@ var poolPutFuncs = []FuncRef{
 
 // poolCopyFuncs return a deep copy that shares no memory with the
 // pooled value they are called on, so poolescape does not treat the
-// result as read out of it: a clone of a document outlives the
-// document's Release.
+// result as read out of it: a clone of a document, or of its text,
+// outlives the document's Release.
 var poolCopyFuncs = []FuncRef{
 	{Pkg: pkgXMLDOM, Recv: "Document", Name: "Clone"},
 	{Pkg: pkgXMLDOM, Recv: "Element", Name: "Clone"},
+	{Pkg: "strings", Name: "Clone"},
 }
+
+// arenaTextFuncs and arenaTextFields read a parsed document's text,
+// which views the character slab of the document's arena: the string
+// they yield dies with the document's Release, as a node does, though a
+// string normally copies.
+var (
+	arenaTextFuncs  = []FuncRef{{Pkg: pkgXMLDOM, Recv: "Element", Name: "Text"}}
+	arenaTextFields = []FieldRef{{Pkg: pkgXMLDOM, Type: "Text", Field: "Data"}}
+)
 
 // --- errdominate -----------------------------------------------------
 
@@ -67,7 +77,6 @@ var errCheckedProducers = []FuncRef{
 	{Pkg: pkgLibrary, Recv: "Library", Name: "TrackXML"},
 	// The Decryptor.
 	{Pkg: pkgXMLEnc, Name: "DecryptOctets"},
-	{Pkg: pkgXMLEnc, Name: "DecryptElement"},
 	{Pkg: pkgXMLEnc, Name: "DecryptAll"},
 	{Pkg: pkgXMLEnc, Name: "DecryptOctetsTo"},
 }

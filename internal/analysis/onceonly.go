@@ -331,11 +331,17 @@ func (r *onceOnlyRule) aliasRegs(fa *flowAnalysis, st *flowState, e ast.Expr) []
 // oneShotField matches a selector against oneShotFieldSources,
 // returning the field object or nil.
 func oneShotField(info *types.Info, sel *ast.SelectorExpr) types.Object {
+	return matchField(info, sel, oneShotFieldSources)
+}
+
+// matchField matches a selector against a field list, returning the
+// field object or nil.
+func matchField(info *types.Info, sel *ast.SelectorExpr, refs []FieldRef) types.Object {
 	obj, ok := info.Uses[sel.Sel].(*types.Var)
 	if !ok || !obj.IsField() || obj.Pkg() == nil {
 		return nil
 	}
-	for _, fs := range oneShotFieldSources {
+	for _, fs := range refs {
 		if obj.Pkg().Path() != fs.Pkg || obj.Name() != fs.Field {
 			continue
 		}

@@ -260,7 +260,7 @@ func (r *poolEscapeRule) bind(fa *flowAnalysis, st *flowState, lhs, rhs ast.Expr
 		return
 	}
 	regs := r.regsOf(fa, st, rhs)
-	if len(regs) == 0 && holdsReference(obj.Type()) {
+	if len(regs) == 0 && (holdsReference(obj.Type()) || readsArenaText(fa.info, rhs)) {
 		regs = r.regsOf(fa, st, derivedFrom(fa.info, rhs))
 	}
 	if len(regs) > 0 {
@@ -311,13 +311,10 @@ func derivedFrom(info *types.Info, e ast.Expr) ast.Expr {
 			e = x.X
 		case *ast.CallExpr:
 			sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
-			if !ok {
+			if !ok || matchAny(calleeFunc(info, x), poolCopyFuncs) {
 				return x
 			}
 			if s := info.Selections[sel]; s == nil || s.Kind() != types.MethodVal {
-				return x
-			}
-			if matchAny(calleeFunc(info, x), poolCopyFuncs) {
 				return x
 			}
 			e = sel.X
@@ -331,8 +328,30 @@ func derivedFrom(info *types.Info, e ast.Expr) ast.Expr {
 	}
 }
 
+// readsArenaText reports whether e reads a parsed document's text
+// (arenaTextFuncs, arenaTextFields) or slices a string that may hold
+// such a read: a string that views the document's arena.
+func readsArenaText(info *types.Info, e ast.Expr) bool {
+	for {
+		switch x := unwrapValueExpr(e).(type) {
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.Ident:
+			t := info.TypeOf(x)
+			return t != nil && types.Identical(t.Underlying(), types.Typ[types.String])
+		case *ast.CallExpr:
+			return matchAny(calleeFunc(info, x), arenaTextFuncs)
+		case *ast.SelectorExpr:
+			return matchField(info, x, arenaTextFields) != nil
+		default:
+			return false
+		}
+	}
+}
+
 // holdsReference reports whether a value of type t can point into the
-// memory it was read from; a copied string or number cannot.
+// memory it was read from; a copied string or number cannot, unless it
+// is a document's text (readsArenaText).
 func holdsReference(t types.Type) bool {
 	switch t.Underlying().(type) {
 	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Interface:

@@ -5,6 +5,7 @@
 package fixture
 
 import (
+	"strings"
 	"sync"
 
 	"discsec/internal/xmldom"
@@ -197,6 +198,32 @@ func cloneOutlivesRelease(b []byte) *xmldom.Element {
 	keep := doc.Root().Clone()
 	doc.Release()
 	return keep
+}
+
+// Text read out of the tree views the document's arena, though it is a
+// string: it dies with the release, as do slices of it.
+func textUseAfterRelease(b []byte) string {
+	doc, err := xmldom.ParseBytes(b)
+	if err != nil {
+		return ""
+	}
+	text := doc.Root().Text()
+	data := doc.Root().Children[0].(*xmldom.Text).Data
+	tail := data[1:]
+	doc.Release()
+	_ = tail    // want poolescape
+	return text // want poolescape
+}
+
+// Clean twin: strings.Clone copies the text out before the release.
+func clonedTextOutlivesRelease(b []byte) string {
+	doc, err := xmldom.ParseBytes(b)
+	if err != nil {
+		return ""
+	}
+	text := strings.Clone(doc.Root().Text())
+	doc.Release()
+	return text
 }
 
 // A document the function did not parse itself is dead from its

@@ -99,7 +99,8 @@ func CanonicalizeExcept(e, excluded *xmldom.Element, opts Options) ([]byte, erro
 // Stream's buffered chunks, and holds none of it: a reference digest
 // streams the canonical octets straight into its hash.
 func WriteExcept(w io.Writer, e, excluded *xmldom.Element, opts Options) error {
-	s := newStream(w, opts)
+	var s Stream // on the stack: nothing keeps it past Close
+	s.init(w, opts)
 	s.seed(e)
 	s.walk(e, excluded)
 	return s.Close()

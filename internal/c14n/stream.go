@@ -119,7 +119,14 @@ func NewStream(w io.Writer, opts Options) (*Stream, error) {
 }
 
 func newStream(w io.Writer, opts Options) *Stream {
-	return &Stream{
+	s := new(Stream)
+	s.init(w, opts)
+	return s
+}
+
+// init readies a zero Stream.
+func (s *Stream) init(w io.Writer, opts Options) {
+	*s = Stream{
 		w:       w,
 		opts:    opts,
 		sp:      opts.Recorder.Start(obs.StageC14N),

@@ -42,7 +42,9 @@ type Opener struct {
 
 // SignatureReport describes one validated signature.
 type SignatureReport struct {
-	// SignerName is the ds:KeyName hint, usually the identity name.
+	// SignerName is the ds:KeyName hint, usually the identity name. It
+	// is xmldsig's copy (ParsedKeyInfo.KeyName), not a view of the
+	// document's text, so a report outlives the document's Release.
 	SignerName string
 	// SignerCN is the common name of the leaf certificate, when
 	// present.

@@ -71,7 +71,7 @@ func ProcessDocument(doc *xmldom.Document, exceptions []string, opts xmlenc.Decr
 			return res, nil
 		}
 		for _, ed := range targets {
-			if _, err := xmlenc.DecryptElement(doc, ed, opts); err != nil {
+			if err := xmlenc.DecryptElement(doc, ed, opts); err != nil {
 				return res, fmt.Errorf("dectrans: decrypting %q: %w", ed.AttrValue("Id"), err)
 			}
 			res.Decrypted++

@@ -13,6 +13,7 @@ package disc
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"discsec/internal/xmldom"
 )
@@ -198,7 +199,9 @@ func (m *Manifest) Element() *xmldom.Element {
 // markup is not part of the model: the result is the same as over a
 // copy of doc with every element named Signature or EncryptedData, in
 // any namespace, removed. doc is only read, and the model shares no
-// element with it.
+// element and no text with it, so it outlives doc's Release: script
+// sources are copied out with strings.Clone, and the cloned markup's
+// text nodes copy theirs (xmldom.Text.CloneNode).
 func ParseCluster(doc *xmldom.Document) (*InteractiveCluster, error) {
 	root := doc.Root()
 	if root == nil || root.Local != "cluster" || root.NamespaceURI() != ClusterNamespace {
@@ -294,7 +297,9 @@ func ParseManifestElement(el *xmldom.Element) (*Manifest, error) {
 		for _, sEl := range sEls {
 			m.Code.Scripts = append(m.Code.Scripts, Script{
 				Language: sEl.AttrValue("language"),
-				Source:   sEl.Text(),
+				// The text views the document's arena; the model
+				// outlives the document's Release.
+				Source: strings.Clone(sEl.Text()),
 			})
 		}
 	}

@@ -170,7 +170,11 @@ type Option func(*Library)
 // matter which engine or route triggered it — verifies under this one
 // configuration, which is what makes sharing the verdicts sound.
 func WithOpener(op core.Opener) Option {
-	return func(l *Library) { l.opener = op }
+	return func(l *Library) {
+		// Every fill decrypts under the same shared key: expand it once.
+		op.Decrypt = op.Decrypt.ExpandKey()
+		l.opener = op
+	}
 }
 
 // WithRecorder sets the observability recorder for hit/miss/evict/

@@ -31,7 +31,7 @@ func WithStorage(st *disc.LocalStorage) Option {
 
 // WithDecryptKeys supplies content decryption material.
 func WithDecryptKeys(opts xmlenc.DecryptOptions) Option {
-	return func(e *Engine) { e.DecryptKeys = opts }
+	return func(e *Engine) { e.DecryptKeys = opts.ExpandKey() }
 }
 
 // WithRequireSignature bars unsigned applications.

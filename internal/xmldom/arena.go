@@ -2,7 +2,7 @@ package xmldom
 
 import (
 	"sync"
-	"unsafe" // Sizeof only, for the retained-bytes cap
+	"unsafe"
 )
 
 // Slab chunk lengths. A chunk holds one kind of parsed node storage;
@@ -14,24 +14,37 @@ const (
 	textChunk = 128
 	attrChunk = 64
 	nodeChunk = 256
+	// charChunk bytes hold the character data of a lib-cold mean
+	// document, its decrypted regions included. A new character chunk is
+	// only as large as the input being parsed, whose text cannot be
+	// longer, so a small document that is never released does not pay
+	// for a full chunk; a streamed input, of unknown length, gets
+	// streamCharChunk.
+	charChunk       = 16 << 10
+	streamCharChunk = 2 << 10
 )
 
 // maxPooledArena caps the bytes an arena may retain and still go back
-// to the pool on Release: its slab chunks plus its scratch buffers. An
-// arena that one huge document grew past it is dropped for the GC, so
-// the pool never pins the memory of the largest document it served.
+// to the pool on Release: its slab chunks, the character slab's
+// included, plus its scratch buffers. An arena that one huge document
+// grew past it is dropped for the GC, so the pool never pins the memory
+// of the largest document it served.
 const maxPooledArena = 512 << 10
 
 // arena owns the storage of one parsed document: the element, text,
-// attribute and child-slice slabs the StreamBuilder carves, and the
-// builder's own scratch. Document.Release hands it back to arenaPool.
-// Strings are never arena memory: the builder copies every one out of
-// the input, so a model that kept a string survives a release.
+// attribute and child-slice slabs the StreamBuilder carves, the
+// character slab every Text.Data views, and the builder's own scratch.
+// Document.Release hands it back to arenaPool. Names, attribute values,
+// comments and processing instructions are heap strings that survive a
+// release; text is arena memory, so a string read out of a Text (or
+// Element.Text) dies with its document, and whatever keeps one past the
+// release copies it out with strings.Clone.
 type arena struct {
 	elems slab[Element]
 	texts slab[Text]
 	attrs slab[Attr]
 	nodes slab[Node]
+	chars slab[byte]
 
 	builder StreamBuilder
 	// stack holds the open elements; pending collects the children of
@@ -57,6 +70,7 @@ func newArena() any {
 		texts: slab[Text]{size: textChunk},
 		attrs: slab[Attr]{size: attrChunk},
 		nodes: slab[Node]{size: nodeChunk},
+		chars: slab[byte]{size: charChunk},
 	}
 }
 
@@ -71,10 +85,8 @@ func (a *arena) begin() {
 
 // retained is the memory the arena keeps across a release.
 func (a *arena) retained() int {
-	return len(a.elems.chunks)*elemChunk*int(unsafe.Sizeof(Element{})) +
-		len(a.texts.chunks)*textChunk*int(unsafe.Sizeof(Text{})) +
-		len(a.attrs.chunks)*attrChunk*int(unsafe.Sizeof(Attr{})) +
-		len(a.nodes.chunks)*nodeChunk*int(unsafe.Sizeof(Node(nil))) +
+	return a.elems.bytes() + a.texts.bytes() + a.attrs.bytes() + a.nodes.bytes() +
+		a.chars.bytes() +
 		cap(a.stack)*int(unsafe.Sizeof((*Element)(nil))) +
 		cap(a.pending)*int(unsafe.Sizeof(Node(nil))) +
 		cap(a.marks)*int(unsafe.Sizeof(0)) +
@@ -82,12 +94,17 @@ func (a *arena) retained() int {
 }
 
 // release scrubs every used slot (see scrubElements) and pools the
-// arena unless it retains more than maxPooledArena.
+// arena unless it retains more than maxPooledArena. The character slab
+// is zeroed in every build: a released document's text, decrypted
+// plaintext included, does not linger in pooled memory, and a string
+// that outlived its document reads NULs until the next parse
+// overwrites them.
 func (a *arena) release() {
 	a.elems.reset(scrubElements)
 	a.texts.reset(scrubTexts)
 	a.attrs.reset(scrubAttrs)
 	a.nodes.reset(scrubNodes)
+	a.chars.reset(scrubChars)
 	clear(a.stack[:cap(a.stack)])
 	clear(a.pending[:cap(a.pending)])
 	a.builder = StreamBuilder{}
@@ -108,6 +125,20 @@ func (a *arena) carveAttrs(src []Attr) []Attr {
 	return dst
 }
 
+// scrubChars zeroes released character data.
+func scrubChars(s []byte) { clear(s) }
+
+// carveString copies b into the character slab and returns the copy
+// as a string that views it: valid until the arena's release.
+func (a *arena) carveString(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	dst := a.chars.carve(len(b))
+	copy(dst, b)
+	return unsafe.String(&dst[0], len(dst))
+}
+
 // carveNodes copies a finished child list into the child-slice slab.
 func (a *arena) carveNodes(src []Node) []Node {
 	if len(src) == 0 {
@@ -118,12 +149,14 @@ func (a *arena) carveNodes(src []Node) []Node {
 	return dst
 }
 
-// slab hands out T storage from fixed-size chunks it keeps across
-// releases. Each chunk's length is the part in use.
+// slab hands out T storage from chunks it keeps across releases. Each
+// chunk's length is the part in use.
 type slab[T any] struct {
 	chunks [][]T
 	cur    int // the chunk being carved
-	size   int // chunk length
+	size   int // chunk capacity
+	// want, when set, is the capacity of a new chunk, at most size.
+	want int
 }
 
 // carve returns n contiguous slots with cap == len, so an append to
@@ -142,9 +175,23 @@ func (s *slab[T]) carve(n int) []T {
 			return c[l : l+n : l+n]
 		}
 	}
-	c := make([]T, n, s.size)
+	want := s.size
+	if s.want > 0 {
+		want = s.want
+	}
+	c := make([]T, n, max(n, want))
 	s.chunks = append(s.chunks, c)
 	return c[:n:n]
+}
+
+// bytes is the memory the slab's chunks hold.
+func (s *slab[T]) bytes() int {
+	n := 0
+	for _, c := range s.chunks {
+		n += cap(c)
+	}
+	var zero T
+	return n * int(unsafe.Sizeof(zero))
 }
 
 // one returns a single slot.
@@ -161,10 +208,13 @@ func (s *slab[T]) reset(scrub func([]T)) {
 
 // Release hands the document's node storage back for the next parse.
 // Every node of the document, including those a ParseFragment added,
-// is invalid afterwards, and the document itself is left empty; strings
-// read out of the tree stay valid. Release is a no-op on a document
-// that owns no arena (a Clone, or a tree built by hand) and on a second
-// call.
+// is invalid afterwards, and the document itself is left empty. So is
+// its text: a string read from a Text's Data or an Element's Text views
+// the arena, and one that must outlive the release is copied out first
+// with strings.Clone (a Clone of the tree copies its text). Names,
+// attribute values, comments and processing instructions are heap
+// strings and stay valid. Release is a no-op on a document that owns no
+// arena (a Clone, or a tree built by hand) and on a second call.
 func (d *Document) Release() {
 	a := d.arena
 	if a == nil {

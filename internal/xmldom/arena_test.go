@@ -33,17 +33,21 @@ func TestReleaseIdempotentAndNoopOnClone(t *testing.T) {
 }
 
 // TestReleasedArenaIsRecycled: the next parse after a Release builds
-// in the same chunks, and the strings the first document handed out
-// survive (the arena never owns string bytes).
+// in the same chunks. Names and attribute values the first document
+// handed out survive, and so does text copied out with strings.Clone;
+// text read in place views the recycled character slab.
 func TestReleasedArenaIsRecycled(t *testing.T) {
 	doc := mustParse(t, `<r><x k="v">text</x></r>`)
 	x := doc.Root().FirstChildElement("x")
-	name, val, text := x.Local, x.AttrValue("k"), x.Text()
+	name, val, kept, view := x.Local, x.AttrValue("k"), strings.Clone(x.Text()), x.Text()
 	doc.Release()
 	again := mustParse(t, `<q><z k="w">other</z></q>`)
 	defer again.Release()
-	if name != "x" || val != "v" || text != "text" {
-		t.Fatalf("strings read before the release changed: %q %q %q", name, val, text)
+	if name != "x" || val != "v" || kept != "text" {
+		t.Fatalf("strings copied out before the release changed: %q %q %q", name, val, kept)
+	}
+	if view == "text" {
+		t.Fatal("text read in place survived the release; the character slab was not recycled")
 	}
 	if got := again.Root().String(); got != `<q><z k="w">other</z></q>` {
 		t.Fatalf("parse into a recycled arena = %q", got)

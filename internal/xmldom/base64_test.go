@@ -77,7 +77,10 @@ func FuzzBase64Text(f *testing.F) {
 }
 
 // checkBase64 asserts DecodeBase64 and the oracle agree on accepting s
-// and, when they accept, on the decoded bytes.
+// and, when they accept, on the decoded bytes; and that
+// AppendDecodeBase64 agrees with DecodeBase64, appending after a prefix
+// into a buffer that is too short, exactly large enough, and dirty
+// from a previous decode.
 func checkBase64(t *testing.T, s string) {
 	got, gotErr := DecodeBase64(s)
 	want, wantErr := oracleBase64(s)
@@ -86,6 +89,22 @@ func checkBase64(t *testing.T, s string) {
 	}
 	if gotErr == nil && !bytes.Equal(got, want) {
 		t.Fatalf("DecodeBase64(%q) = %x, oracle %x", s, got, want)
+	}
+	prefix := []byte("pre")
+	exact := base64.StdEncoding.DecodedLen(len(s)) + len(s)
+	dirty := bytes.Repeat([]byte{'='}, 2*exact+len(prefix))
+	for _, dst := range [][]byte{
+		append([]byte(nil), prefix...),
+		append(make([]byte, 0, len(prefix)+exact), prefix...),
+		append(dirty[:0], prefix...),
+	} {
+		out, err := AppendDecodeBase64(dst, s)
+		if (err == nil) != (gotErr == nil) {
+			t.Fatalf("AppendDecodeBase64(%q): err %v, DecodeBase64 err %v", s, err, gotErr)
+		}
+		if err == nil && (!bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], got)) {
+			t.Fatalf("AppendDecodeBase64(%q) = %q, want %q then %x", s, out, prefix, got)
+		}
 	}
 }
 
@@ -115,6 +134,28 @@ func TestDecodeBase64AllocationsStripped(t *testing.T) {
 	} {
 		if allocs := base64Allocs(t, s); allocs != 2 {
 			t.Errorf("DecodeBase64(%.12q...) allocated %v times per call, want 2", s, allocs)
+		}
+	}
+}
+
+// TestAppendDecodeBase64Recycled: a buffer with room for the decoded
+// bytes and the whitespace-free copy decodes without allocating, wrapped
+// or not.
+func TestAppendDecodeBase64Recycled(t *testing.T) {
+	for _, s := range []string{
+		strings.Repeat("QUJD", 200),
+		strings.Repeat("QUJD\n", 200),
+		strings.Repeat("\n    QUJD", 200),
+	} {
+		buf := make([]byte, 0, 2*len(s))
+		allocs := testing.AllocsPerRun(100, func() {
+			var err error
+			if buf, err = AppendDecodeBase64(buf[:0], s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("AppendDecodeBase64(%.12q...) into a recycled buffer allocated %v times per call, want 0", s, allocs)
 		}
 	}
 }

@@ -8,10 +8,11 @@ import "discsec/internal/xmlstream"
 // build the DOM while, say, incremental canonicalization digests the
 // same tokens.
 //
-// Elements, text nodes, attribute slices and child slices come from the
-// document's pooled arena; Document.Release hands them back. Children
-// are collected on a pending stack and carved when their parent closes,
-// as exact-size slices, so building a child list never regrows one.
+// Elements, text nodes, their character data, attribute slices and
+// child slices come from the document's pooled arena; Document.Release
+// hands them back. Children are collected on a pending stack and carved
+// when their parent closes, as exact-size slices, so building a child
+// list never regrows one.
 // The builder itself lives in the arena and is valid until the
 // document is released.
 //
@@ -32,16 +33,21 @@ type StreamBuilder struct {
 // NewStreamBuilder returns a builder for one document, backed by an
 // arena from the pool.
 func NewStreamBuilder() *StreamBuilder {
-	return newBuilder(&Document{}, getArena())
+	return newBuilder(&Document{}, getArena(), 0)
 }
 
-// newBuilder readies a's builder to build into doc; doc is nil for a
-// fragment, whose nodes the caller takes from the pending list.
-func newBuilder(doc *Document, a *arena) *StreamBuilder {
+// newBuilder readies a's builder to build into doc from an input of n
+// bytes (0 when its length is unknown); doc is nil for a fragment, whose
+// nodes the caller takes from the pending list.
+func newBuilder(doc *Document, a *arena, n int) *StreamBuilder {
 	if doc != nil {
 		doc.arena = a
 	}
 	a.begin()
+	a.chars.want = streamCharChunk
+	if n > 0 {
+		a.chars.want = min(n, charChunk)
+	}
 	b := &a.builder
 	*b = StreamBuilder{doc: doc, a: a}
 	return b
@@ -61,7 +67,7 @@ func (b *StreamBuilder) Document() *Document {
 // closeText ends the current text run.
 func (b *StreamBuilder) closeText() {
 	if b.open != nil && len(b.a.merged) > 0 {
-		b.open.Data = string(b.a.merged)
+		b.open.Data = b.a.carveString(b.a.merged)
 	}
 	b.open, b.a.merged = nil, b.a.merged[:0]
 }
@@ -106,7 +112,7 @@ func (b *StreamBuilder) Text(data []byte) error {
 	a := b.a
 	if b.open == nil {
 		t := a.texts.one()
-		*t = Text{Data: string(data), parent: b.parent()}
+		*t = Text{Data: a.carveString(data), parent: b.parent()}
 		a.pending = append(a.pending, t)
 		b.open = t
 		return nil

@@ -368,7 +368,8 @@ func (e *Element) FirstChildNamed(ns, local string) *Element {
 }
 
 // Text returns the concatenation of all directly contained text nodes.
-// A lone text child's Data is returned as is, without a copy.
+// A lone text child's Data is returned as is, without a copy, so in a
+// parsed document the result is valid until Document.Release.
 func (e *Element) Text() string {
 	var lone *Text
 	for _, c := range e.Children {
@@ -452,6 +453,8 @@ func (e *Element) Descendants() []*Element {
 
 // Text is a character-data node. CDATA sections parse into Text nodes.
 type Text struct {
+	// Data is the character data. In a parsed document it views the
+	// document's arena and is valid until Document.Release.
 	Data string
 
 	parent *Element
@@ -465,8 +468,9 @@ func (t *Text) ParentElement() *Element { return t.parent }
 
 func (t *Text) setParent(p *Element) { t.parent = p }
 
-// CloneNode implements Node.
-func (t *Text) CloneNode() Node { return &Text{Data: t.Data} }
+// CloneNode implements Node. The copy owns its character data, so it
+// outlives the release of a parsed original.
+func (t *Text) CloneNode() Node { return &Text{Data: strings.Clone(t.Data)} }
 
 // Comment is an XML comment node.
 type Comment struct {

@@ -34,7 +34,7 @@ func ParseString(s string) (*Document, error) {
 // ParseBytes parses an XML document from a byte slice with default
 // options, scanning the slice in place.
 func ParseBytes(b []byte) (*Document, error) {
-	builder := NewStreamBuilder()
+	builder := newBuilder(&Document{}, getArena(), len(b))
 	if err := xmlstream.ParseBytes(b, xmlstream.Options{}, builder); err != nil {
 		// Nothing outside the builder saw the partial tree.
 		builder.doc.Release()
@@ -58,7 +58,7 @@ func (d *Document) ParseFragment(b []byte) ([]Node, error) {
 		a = getArena()
 	}
 	a.wrap = append(append(append(a.wrap[:0], fragmentOpen...), b...), fragmentClose...)
-	if err := xmlstream.ParseBytes(a.wrap, xmlstream.Options{}, newBuilder(nil, a)); err != nil {
+	if err := xmlstream.ParseBytes(a.wrap, xmlstream.Options{}, newBuilder(nil, a, len(b))); err != nil {
 		return nil, err
 	}
 	nodes := a.pending[0].(*Element).Children

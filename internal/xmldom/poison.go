@@ -7,8 +7,9 @@ package xmldom
 // that kept a node, an attribute slice or a child slice past its
 // document's release reads visibly wrong data (a NUL-led name or
 // value no parse can produce) instead of silently right data that the
-// next parse would overwrite. Run a package's tests with
-// `go test -tags domPoison`.
+// next parse would overwrite. Text kept past the release reads NULs:
+// the character slab is zeroed in every build (arena.release). Run a
+// package's tests with `go test -tags domPoison`.
 
 // poisoned is the value a released text node, attribute value and
 // element name read as.

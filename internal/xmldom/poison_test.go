@@ -6,7 +6,7 @@ import "testing"
 
 // TestReleasePoisons: under the domPoison build, a node, an attribute
 // slice and a child slice kept past their document's Release read the
-// sentinel, which is how that build's runs of the library, player and
+// sentinel, and text read out of the tree reads NULs, which is how that build's runs of the library, player and
 // decode tests would catch a model that kept part of a released tree.
 func TestReleasePoisons(t *testing.T) {
 	doc := mustParse(t, `<r a="1"><x>text</x></r>`)
@@ -14,6 +14,7 @@ func TestReleasePoisons(t *testing.T) {
 	attrs, kids := root.Attrs, root.Children
 	x := root.FirstChildElement("x")
 	text := x.Children[0].(*Text)
+	data, joined := text.Data, x.Text()
 	doc.Release()
 	if root.Local != poisoned || x.Local != poisoned {
 		t.Errorf("released elements read %q, %q", root.Local, x.Local)
@@ -26,5 +27,8 @@ func TestReleasePoisons(t *testing.T) {
 	}
 	if text.Data != poisoned {
 		t.Errorf("released text reads %q", text.Data)
+	}
+	if data != "\x00\x00\x00\x00" || joined != data {
+		t.Errorf("text read before the release reads %q and %q, want NULs", data, joined)
 	}
 }

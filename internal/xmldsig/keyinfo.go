@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"strings"
 
 	"discsec/internal/xmldom"
 	"discsec/internal/xmlsecuri"
@@ -69,6 +70,9 @@ func buildKeyInfo(prefix string, spec KeyInfoSpec, pub crypto.PublicKey) (*xmldo
 
 // ParsedKeyInfo is the verifier-side view of a ds:KeyInfo element.
 type ParsedKeyInfo struct {
+	// KeyName is the ds:KeyName hint, copied out of the document: it
+	// outlives the document's Release, as does whatever a KeyByName
+	// resolver keeps of it.
 	KeyName  string
 	KeyValue crypto.PublicKey
 	// Certificates are the embedded certificates, leaf first. Each is
@@ -92,7 +96,7 @@ func ParseKeyInfo(ki *xmldom.Element) (*ParsedKeyInfo, error) {
 		return out, nil
 	}
 	if kn := ki.FirstChildNamed(xmlsecuri.DSigNamespace, "KeyName"); kn != nil {
-		out.KeyName = kn.Text()
+		out.KeyName = strings.Clone(kn.Text())
 	}
 	if kv := ki.FirstChildNamed(xmlsecuri.DSigNamespace, "KeyValue"); kv != nil {
 		if rkv := kv.FirstChildNamed(xmlsecuri.DSigNamespace, "RSAKeyValue"); rkv != nil {

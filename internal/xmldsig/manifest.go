@@ -1,7 +1,6 @@
 package xmldsig
 
 import (
-	"crypto/subtle"
 	"encoding/base64"
 	"errors"
 	"fmt"
@@ -62,7 +61,7 @@ func SignManifest(refs []ReferenceSpec, manifestID string, resolver ExternalReso
 		if err != nil {
 			return nil, err
 		}
-		digest, err := digestReference(h, data, chain, sig, nil)
+		digest, err := appendReferenceDigest(nil, h, data, chain, sig, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -136,26 +135,12 @@ func validateManifestReference(doc *xmldom.Document, sig, refEl *xmldom.Element,
 		res.Err = err
 		return res
 	}
-	want, err := xmldom.DecodeBase64(dvEl.Text())
+	var wantBuf [digestTextBuf]byte
+	want, err := xmldom.AppendDecodeBase64(wantBuf[:0], dvEl.Text())
 	if err != nil {
 		res.Err = fmt.Errorf("xmldsig: manifest DigestValue: %w", err)
 		return res
 	}
-	data, err := dereference(uri, doc, opts.Resolver)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	chain, err := parseTransforms(refEl)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	got, err := digestReference(h, data, chain, sig, nil)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.Valid = subtle.ConstantTimeCompare(got, want) == 1
+	res.Valid, res.Err = matchDigest(doc, sig, refEl, uri, h, want, opts.Resolver, nil)
 	return res
 }

@@ -2,7 +2,6 @@ package xmldsig
 
 import (
 	"crypto"
-	"crypto/sha256"
 	"encoding/base64"
 	"errors"
 	"fmt"
@@ -145,7 +144,7 @@ func TestStreamedDigestMatchesOracle(t *testing.T) {
 	compared := 0
 	for _, dc := range digestCases(t) {
 		for _, ref := range signatureReferences(dc.sig) {
-			chain, err := parseTransforms(ref)
+			chain, err := appendTransforms(nil, ref)
 			if err != nil {
 				t.Fatalf("%s: %v", dc.name, err)
 			}
@@ -183,12 +182,21 @@ func compareWithOracle(t *testing.T, dc digestCase, uri string, chain []transfor
 		return
 	}
 	octets, wantErr := oracleApplyTransforms(data, chain, dc.sig)
-	got, gotErr := digestReference(crypto.SHA256, data, chain, dc.sig, nil)
-	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
-		t.Fatalf("%s %q %v: runner err %v, oracle err %v", dc.name, uri, chain, gotErr, wantErr)
-	}
-	if want := sha256.Sum256(octets); gotErr == nil && string(got) != string(want[:]) {
-		t.Fatalf("%s %q %v: runner digest %x, oracle %x", dc.name, uri, chain, got, want)
+	// SHA-256 runs the pooled fixed-algorithm state, SHA-512 the
+	// generic hash; both append after a prefix.
+	for _, h := range []crypto.Hash{crypto.SHA256, crypto.SHA512} {
+		got, gotErr := appendReferenceDigest([]byte("pre"), h, data, chain, dc.sig, nil)
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%s %q %v %v: runner err %v, oracle err %v", dc.name, uri, chain, h, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			continue
+		}
+		oracle := h.New()
+		oracle.Write(octets)
+		if want := oracle.Sum([]byte("pre")); string(got) != string(want) {
+			t.Fatalf("%s %q %v %v: runner digest %x, oracle %x", dc.name, uri, chain, h, got, want)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package xmldsig
 
 import (
+	"bytes"
 	"crypto"
 	"crypto/sha256"
+	"crypto/sha512"
 	"encoding/binary"
 
 	"discsec/internal/memo"
@@ -35,21 +37,24 @@ func checkSignatureValue(method string, signedInfo, sig []byte, pub crypto.Publi
 	if err != nil {
 		return err
 	}
-	hasher := h.New()
-	hasher.Write(signedInfo)
-	digest := hasher.Sum(nil)
-	if fingerprint == "" {
-		return verifySignatureValue(method, h, digest, sig, pub)
+	var sum [sha512.Size]byte
+	digest := appendSum(sum[:0], h, signedInfo)
+	var k [sha256.Size]byte
+	if fingerprint != "" {
+		k = sigMemoKey(fingerprint, method, sig, digest)
+		if _, ok := sigMemo.Get(k); ok {
+			rec.Inc("xmldsig.sig_memo_hit")
+			return nil
+		}
 	}
-	k := sigMemoKey(fingerprint, method, sig, digest)
-	if _, ok := sigMemo.Get(k); ok {
-		rec.Inc("xmldsig.sig_memo_hit")
-		return nil
-	}
-	if err := verifySignatureValue(method, h, digest, sig, pub); err != nil {
+	// The public-key verifiers may keep the digest they are given: they
+	// get a heap copy, so a memo hit sums on the stack.
+	if err := verifySignatureValue(method, h, bytes.Clone(digest), sig, pub); err != nil {
 		return err
 	}
-	sigMemo.Put(k, struct{}{})
+	if fingerprint != "" {
+		sigMemo.Put(k, struct{}{})
+	}
 	return nil
 }
 

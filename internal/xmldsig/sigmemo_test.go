@@ -112,7 +112,7 @@ func signVerdictCase(t *testing.T, uri string, chain []transformSpec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, err := digestReference(crypto.SHA256, data, chain, sig, nil); err == nil {
+	if d, err := appendReferenceDigest(nil, crypto.SHA256, data, chain, sig, nil); err == nil {
 		ref.FirstChildNamed(xmlsecuri.DSigNamespace, "DigestValue").SetText(base64.StdEncoding.EncodeToString(d))
 	}
 	resign(t, sig, testECDSAKey)

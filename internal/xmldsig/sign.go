@@ -291,7 +291,7 @@ func signInDocumentWithResolver(doc *xmldom.Document, parent *xmldom.Element, re
 			return nil, err
 		}
 		h, _ := HashByDigestURI(opts.DigestMethod)
-		digest, err := digestReference(h, data, chain, sig, nil)
+		digest, err := appendReferenceDigest(nil, h, data, chain, sig, nil)
 		if err != nil {
 			return nil, err
 		}

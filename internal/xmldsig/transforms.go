@@ -2,9 +2,12 @@ package xmldsig
 
 import (
 	"crypto"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
+	"sync"
 
 	"discsec/internal/c14n"
 	"discsec/internal/obs"
@@ -97,14 +100,50 @@ type transformSpec struct {
 	exceptURIs []string
 }
 
-// digestReference hashes, under h, the octets the chain makes of the
-// dereferenced data.
-func digestReference(h crypto.Hash, data refData, chain []transformSpec, sigEl *xmldom.Element, rec *obs.Recorder) ([]byte, error) {
-	hasher := h.New()
-	if err := writeTransformed(hasher, data, chain, sigEl, rec); err != nil {
+// appendReferenceDigest appends to dst the digest, under h, of the
+// octets the chain makes of the dereferenced data. SHA-256, the digest
+// of every reference this module writes, streams into a pooled state
+// and sums into it, so a caller that hands in a stack buffer digests
+// without allocating; other algorithms build their hash per call.
+func appendReferenceDigest(dst []byte, h crypto.Hash, data refData, chain []transformSpec, sigEl *xmldom.Element, rec *obs.Recorder) ([]byte, error) {
+	if h != crypto.SHA256 {
+		hasher := h.New()
+		if err := writeTransformed(hasher, data, chain, sigEl, rec); err != nil {
+			return nil, err
+		}
+		return append(dst, hasher.Sum(nil)...), nil
+	}
+	st := sha256Pool.Get().(*sha256State)
+	defer sha256Pool.Put(st)
+	st.h.Reset()
+	if err := writeTransformed(st.h, data, chain, sigEl, rec); err != nil {
 		return nil, err
 	}
-	return hasher.Sum(nil), nil
+	return append(dst, st.h.Sum(st.sum[:0])...), nil
+}
+
+// sha256State is a reusable SHA-256 digest and the array it sums into.
+type sha256State struct {
+	h   hash.Hash
+	sum [sha256.Size]byte
+}
+
+var sha256Pool = sync.Pool{New: newSHA256State}
+
+// newSHA256State is the pool's first-touch factory: a declared function
+// so a digest never builds a closure.
+func newSHA256State() any { return &sha256State{h: sha256.New()} }
+
+// appendSum appends the digest of b under h to dst; SHA-256 sums on the
+// stack.
+func appendSum(dst []byte, h crypto.Hash, b []byte) []byte {
+	if h == crypto.SHA256 {
+		sum := sha256.Sum256(b)
+		return append(dst, sum[:]...)
+	}
+	hasher := h.New()
+	hasher.Write(b)
+	return append(dst, hasher.Sum(nil)...)
 }
 
 // writeTransformed runs the chain over the dereferenced data and writes
@@ -237,19 +276,17 @@ const (
 	MaxTransforms = 8
 )
 
-// parseTransforms extracts the transform chain from a ds:Reference.
-func parseTransforms(ref *xmldom.Element) ([]transformSpec, error) {
+// appendTransforms appends the transform chain of a ds:Reference to
+// dst. Callers hand in a stack buffer of MaxTransforms specs, so a chain
+// within the limit is read without allocating.
+func appendTransforms(dst []transformSpec, ref *xmldom.Element) ([]transformSpec, error) {
 	ts := ref.FirstChildNamed(xmlsecuri.DSigNamespace, "Transforms")
 	if ts == nil {
-		return nil, nil
+		return dst, nil
 	}
 	trs := ts.AppendChildElementsNamed(make([]*xmldom.Element, 0, 4), xmlsecuri.DSigNamespace, "Transform")
 	if len(trs) > MaxTransforms {
 		return nil, fmt.Errorf("xmldsig: %d Transforms exceeds limit %d", len(trs), MaxTransforms)
-	}
-	var chain []transformSpec
-	if len(trs) > 0 {
-		chain = make([]transformSpec, 0, len(trs))
 	}
 	for _, tr := range trs {
 		alg, ok := tr.Attr("Algorithm")
@@ -267,9 +304,9 @@ func parseTransforms(ref *xmldom.Element) ([]transformSpec, error) {
 				spec.exceptURIs = append(spec.exceptURIs, uri)
 			}
 		}
-		chain = append(chain, spec)
+		dst = append(dst, spec)
 	}
-	return chain, nil
+	return dst, nil
 }
 
 // DecryptionExceptions returns the union of dcrpt:Except URIs declared by
@@ -284,8 +321,9 @@ func DecryptionExceptions(sig *xmldom.Element) ([]string, error) {
 	}
 	seen := map[string]bool{}
 	var out []string
+	var chainBuf [MaxTransforms]transformSpec
 	for _, ref := range si.AppendChildElementsNamed(make([]*xmldom.Element, 0, 4), xmlsecuri.DSigNamespace, "Reference") {
-		chain, err := parseTransforms(ref)
+		chain, err := appendTransforms(chainBuf[:0], ref)
 		if err != nil {
 			return nil, err
 		}

@@ -1,11 +1,14 @@
 package xmldsig
 
 import (
+	"bytes"
 	"crypto"
+	"crypto/sha512"
 	"crypto/subtle"
 	"crypto/x509"
 	"errors"
 	"fmt"
+	"sync"
 
 	"discsec/internal/c14n"
 	"discsec/internal/obs"
@@ -60,9 +63,8 @@ type VerifyOptions struct {
 
 // ReferenceResult reports validation of one ds:Reference.
 type ReferenceResult struct {
-	URI    string
-	Valid  bool
-	Digest []byte
+	URI   string
+	Valid bool
 }
 
 // VerifyResult reports a completed core validation.
@@ -210,11 +212,14 @@ func Verify(doc *xmldom.Document, sig *xmldom.Element, opts VerifyOptions) (*Ver
 		return nil, err
 	}
 	siOpts.Recorder = opts.Recorder
-	siOctets, err := c14n.Canonicalize(si, siOpts)
-	if err != nil {
+	siBuf := signedInfoPool.Get().(*bytes.Buffer)
+	defer putSignedInfoBuf(siBuf)
+	if err := c14n.WriteExcept(siBuf, si, nil, siOpts); err != nil {
 		return nil, err
 	}
-	sigVal, err := xmldom.DecodeBase64(svEl.Text())
+	siOctets := siBuf.Bytes()
+	var sigBuf [signatureTextBuf]byte
+	sigVal, err := xmldom.AppendDecodeBase64(sigBuf[:0], svEl.Text())
 	if err != nil {
 		return nil, fmt.Errorf("xmldsig: SignatureValue: %w", err)
 	}
@@ -272,27 +277,70 @@ func verifyReference(doc *xmldom.Document, sig, refEl *xmldom.Element, opts Veri
 	if err != nil {
 		return ReferenceResult{}, err
 	}
-	want, err := xmldom.DecodeBase64(dvEl.Text())
+	var wantBuf [digestTextBuf]byte
+	want, err := xmldom.AppendDecodeBase64(wantBuf[:0], dvEl.Text())
 	if err != nil {
 		return ReferenceResult{}, fmt.Errorf("xmldsig: Reference %q DigestValue: %w", uri, err)
 	}
-	data, err := dereference(uri, doc, opts.Resolver)
+	valid, err := matchDigest(doc, sig, refEl, uri, h, want, opts.Resolver, opts.Recorder)
 	if err != nil {
 		return ReferenceResult{}, err
 	}
-	chain, err := parseTransforms(refEl)
-	if err != nil {
-		return ReferenceResult{}, err
-	}
-	got, err := digestReference(h, data, chain, sig, opts.Recorder)
-	if err != nil {
-		return ReferenceResult{}, err
-	}
-	rr := ReferenceResult{URI: uri, Valid: subtle.ConstantTimeCompare(got, want) == 1, Digest: got}
-	if !rr.Valid {
+	rr := ReferenceResult{URI: uri, Valid: valid}
+	if !valid {
 		return rr, fmt.Errorf("%w: URI %q", ErrDigestMismatch, uri)
 	}
 	return rr, nil
+}
+
+// digestTextBuf is a stack buffer that decodes a SHA-512 DigestValue,
+// the longest this module verifies, with room for its whitespace-free
+// copy (xmldom.AppendDecodeBase64).
+const digestTextBuf = 192
+
+// matchDigest dereferences uri, runs refEl's transform chain over it and
+// reports whether the digest under h equals want, compared in constant
+// time. The chain and the digest live on the stack.
+func matchDigest(doc *xmldom.Document, sig, refEl *xmldom.Element, uri string, h crypto.Hash, want []byte, resolver ExternalResolver, rec *obs.Recorder) (bool, error) {
+	data, err := dereference(uri, doc, resolver)
+	if err != nil {
+		return false, err
+	}
+	var chainBuf [MaxTransforms]transformSpec
+	chain, err := appendTransforms(chainBuf[:0], refEl)
+	if err != nil {
+		return false, err
+	}
+	var sumBuf [sha512.Size]byte
+	got, err := appendReferenceDigest(sumBuf[:0], h, data, chain, sig, rec)
+	if err != nil {
+		return false, err
+	}
+	return subtle.ConstantTimeCompare(got, want) == 1, nil
+}
+
+// signatureTextBuf is a stack buffer that decodes an RSA-2048
+// SignatureValue with room for its whitespace-free copy; a longer one
+// decodes on the heap.
+const signatureTextBuf = 640
+
+// maxPooledSignedInfo caps the buffers signedInfoPool keeps: one huge
+// SignedInfo does not pin its buffer in the pool.
+const maxPooledSignedInfo = 64 << 10
+
+// signedInfoPool recycles the buffers Verify canonicalizes SignedInfo
+// into.
+var signedInfoPool = sync.Pool{New: newSignedInfoBuf}
+
+// newSignedInfoBuf is the pool's first-touch factory: a declared
+// function so Verify never builds a closure.
+func newSignedInfoBuf() any { return new(bytes.Buffer) }
+
+func putSignedInfoBuf(b *bytes.Buffer) {
+	b.Reset()
+	if b.Cap() <= maxPooledSignedInfo {
+		signedInfoPool.Put(b)
+	}
 }
 
 func isHMACMethod(uri string) bool {

@@ -76,21 +76,45 @@ func encryptOctets(algorithm string, key, plaintext []byte) ([]byte, error) {
 	}
 }
 
-// decryptOctets reverses encryptOctets. With inPlace the plaintext
-// overwrites the ciphertext in payload, which the caller must own;
-// otherwise payload is left unchanged.
-func decryptOctets(algorithm string, key, payload []byte, inPlace bool) ([]byte, error) {
+// decryptOctets reverses encryptOctets under key, with sched's
+// expansion when sched is key's. With inPlace the plaintext overwrites
+// the ciphertext in payload, which the caller must own; otherwise
+// payload is left unchanged.
+func decryptOctets(algorithm string, key []byte, sched *keySchedule, payload []byte, inPlace bool) ([]byte, error) {
 	if err := checkKeyLen(algorithm, key); err != nil {
 		return nil, err
 	}
+	decrypt := decryptCBC
 	switch algorithm {
 	case xmlsecuri.EncAES128CBC, xmlsecuri.EncAES192CBC, xmlsecuri.EncAES256CBC:
-		return decryptCBC(key, payload, inPlace)
 	case xmlsecuri.EncAES128GCM, xmlsecuri.EncAES256GCM:
-		return decryptGCM(key, payload, inPlace)
+		decrypt = decryptGCM
 	default:
 		return nil, fmt.Errorf("%w: block encryption %q", ErrUnsupportedAlgorithm, algorithm)
 	}
+	block, err := sched.blockFor(key)
+	if err != nil {
+		return nil, err
+	}
+	return decrypt(block, payload, inPlace)
+}
+
+// keySchedule is one AES key expanded (DecryptOptions.ExpandKey). A
+// cipher.Block is safe for concurrent use, so every decryption under
+// the options shares it.
+type keySchedule struct {
+	key   []byte
+	block cipher.Block
+}
+
+// blockFor returns key's AES cipher: s's expansion when key is the key
+// s expanded, a fresh expansion otherwise (a key an EncryptedKey
+// carried, or s nil).
+func (s *keySchedule) blockFor(key []byte) (cipher.Block, error) {
+	if s != nil && subtle.ConstantTimeCompare(s.key, key) == 1 {
+		return s.block, nil
+	}
+	return aes.NewCipher(key)
 }
 
 func checkKeyLen(algorithm string, key []byte) error {
@@ -130,26 +154,39 @@ func encryptCBC(key, plaintext []byte) ([]byte, error) {
 	return out, nil
 }
 
-func decryptCBC(key, payload []byte, inPlace bool) ([]byte, error) {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, err
-	}
-	bs := block.BlockSize()
+func decryptCBC(block cipher.Block, payload []byte, inPlace bool) ([]byte, error) {
+	const bs = aes.BlockSize
 	if len(payload) < 2*bs || len(payload)%bs != 0 {
 		return nil, fmt.Errorf("%w: CBC payload length %d", ErrDecryptionFailed, len(payload))
 	}
-	iv, ct := payload[:bs], payload[bs:]
-	pt := ct
+	iv, pt := payload[:bs], payload[bs:]
 	if !inPlace {
-		pt = make([]byte, len(ct))
+		pt = append([]byte(nil), pt...)
 	}
-	cipher.NewCBCDecrypter(block, iv).CryptBlocks(pt, ct)
+	cbcDecrypt(block, iv, pt)
 	padLen := int(pt[len(pt)-1])
 	if padLen < 1 || padLen > bs || padLen > len(pt) {
 		return nil, fmt.Errorf("%w: invalid CBC padding", ErrDecryptionFailed)
 	}
 	return pt[:len(pt)-padLen], nil
+}
+
+// cbcDecrypt decrypts buf in place in CBC mode under iv. It runs the
+// blocks last to first, so each block's predecessor is still
+// ciphertext when it is needed, and calls the block cipher directly:
+// cipher.NewCBCDecrypter copies the expanded key schedule on every call.
+func cbcDecrypt(block cipher.Block, iv, buf []byte) {
+	const bs = aes.BlockSize
+	for end := len(buf); end > 0; end -= bs {
+		start := end - bs
+		prev := iv
+		if start > 0 {
+			prev = buf[start-bs : start]
+		}
+		blk := buf[start:end]
+		block.Decrypt(blk, blk)
+		subtle.XORBytes(blk, blk, prev)
+	}
 }
 
 // encryptGCM implements the XML-Enc 1.1 GCM construction: payload is
@@ -170,11 +207,7 @@ func encryptGCM(key, plaintext []byte) ([]byte, error) {
 	return gcm.Seal(iv, iv, plaintext, nil), nil
 }
 
-func decryptGCM(key, payload []byte, inPlace bool) ([]byte, error) {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, err
-	}
+func decryptGCM(block cipher.Block, payload []byte, inPlace bool) ([]byte, error) {
 	gcm, err := cipher.NewGCM(block)
 	if err != nil {
 		return nil, err

@@ -1,10 +1,14 @@
 package xmlenc
 
 import (
+	"bytes"
+	"crypto/aes"
 	"crypto/rsa"
 	"errors"
 	"fmt"
 	"io"
+	"strings"
+	"sync"
 
 	"discsec/internal/obs"
 	"discsec/internal/xmldom"
@@ -21,7 +25,8 @@ type DecryptOptions struct {
 	// KEK unwraps keys wrapped under kw-aes*.
 	KEK []byte
 	// KeyByName resolves a ds:KeyName hint to a content key (no
-	// EncryptedKey) or a KEK (with AES key wrap).
+	// EncryptedKey) or a KEK (with AES key wrap). The name it is given
+	// is a copy it may keep.
 	KeyByName func(name string) ([]byte, error)
 	// CipherResolver dereferences xenc:CipherReference URIs (ciphertext
 	// stored outside the document, e.g. in the disc image).
@@ -33,6 +38,46 @@ type DecryptOptions struct {
 	// Recorder, when non-nil, receives one obs.StageDecrypt span per
 	// EncryptedData decryption.
 	Recorder *obs.Recorder
+
+	// sched is Key's AES expansion (ExpandKey); nil until expanded.
+	sched *keySchedule
+}
+
+// ExpandKey returns a copy of o whose decryptions under Key share one
+// AES key schedule, expanded here, instead of expanding Key for every
+// EncryptedData; copies of the result share it too. A long-lived holder
+// of the options (a library's opener, a player engine) expands them
+// once. Key's bytes are copied, so a Key changed afterwards is expanded
+// per use again. Without a Key of an AES size, o comes back unchanged.
+func (o DecryptOptions) ExpandKey() DecryptOptions {
+	if block, err := aes.NewCipher(o.Key); err == nil {
+		o.sched = &keySchedule{key: bytes.Clone(o.Key), block: block}
+	}
+	return o
+}
+
+// maxPooledPayload caps the capacity of a CipherValue decode buffer
+// that goes back to payloadPool: one huge encrypted region does not pin
+// its buffer in the pool.
+const maxPooledPayload = 256 << 10
+
+// payloadPool recycles DecryptElement's decode buffers. A buffer holds
+// the decoded ciphertext, decrypted in place, and then the
+// whitespace-free copy of the CipherValue text it was decoded from.
+var payloadPool = sync.Pool{New: newPayloadBuf}
+
+// newPayloadBuf is the pool's first-touch factory: a declared function
+// so a decryption never builds a closure.
+func newPayloadBuf() any { return new([]byte) }
+
+// putPayloadBuf zeroes the decoded payload, plaintext included, and
+// pools the buffer unless it grew past maxPooledPayload.
+func putPayloadBuf(buf *[]byte) {
+	clear(*buf)
+	*buf = (*buf)[:0]
+	if cap(*buf) <= maxPooledPayload {
+		payloadPool.Put(buf)
+	}
 }
 
 // IsEncryptedData reports whether el is an xenc:EncryptedData element.
@@ -66,6 +111,14 @@ func FindEncryptedData(doc *xmldom.Document) []*xmldom.Element {
 // without altering the tree — used for arbitrary binary payloads (tracks)
 // and as the common lower half of structural decryption.
 func DecryptOctets(ed *xmldom.Element, opts DecryptOptions) ([]byte, error) {
+	return decryptData(ed, &opts, nil)
+}
+
+// decryptData is DecryptOctets. With a scratch buffer, an inline
+// CipherValue is decoded into it (*scratch is left holding the decoded
+// payload) and the plaintext returned lies inside it; without one, the
+// payload is a fresh allocation the caller keeps.
+func decryptData(ed *xmldom.Element, opts *DecryptOptions, scratch *[]byte) ([]byte, error) {
 	defer opts.Recorder.Start(obs.StageDecrypt).End()
 	if !IsEncryptedData(ed) {
 		return nil, errors.New("xmlenc: element is not xenc:EncryptedData")
@@ -76,7 +129,7 @@ func DecryptOctets(ed *xmldom.Element, opts DecryptOptions) ([]byte, error) {
 	}
 	algorithm := em.AttrValue("Algorithm")
 
-	payload, owned, err := cipherPayload(ed, opts)
+	payload, owned, err := cipherPayload(ed, opts, scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -84,37 +137,40 @@ func DecryptOctets(ed *xmldom.Element, opts DecryptOptions) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decryptOctets(algorithm, key, payload, owned)
+	return decryptOctets(algorithm, key, opts.sched, payload, owned)
 }
 
 // DecryptElement decrypts an EncryptedData of Type Element or Content in
 // place: the EncryptedData node, which belongs to doc, is replaced by
 // the recovered nodes, parsed into doc's arena so doc's Release hands
-// them back with the rest of the tree. It returns the recovered
-// plaintext for callers that also need the octets.
-func DecryptElement(doc *xmldom.Document, ed *xmldom.Element, opts DecryptOptions) ([]byte, error) {
+// them back with the rest of the tree. An inline CipherValue is decoded
+// and decrypted in a pooled buffer, zeroed and recycled once the
+// plaintext is parsed; DecryptOctets returns the octets themselves.
+func DecryptElement(doc *xmldom.Document, ed *xmldom.Element, opts DecryptOptions) error {
 	parent := ed.ParentElement()
 	if parent == nil {
-		return nil, errors.New("xmlenc: DecryptElement requires the EncryptedData to have a parent; use DecryptOctets for detached data")
+		return errors.New("xmlenc: DecryptElement requires the EncryptedData to have a parent; use DecryptOctets for detached data")
 	}
 	dataType := ed.AttrValue("Type")
 	if dataType != xmlsecuri.EncTypeElement && dataType != xmlsecuri.EncTypeContent {
-		return nil, fmt.Errorf("xmlenc: DecryptElement requires Type Element or Content, have %q", dataType)
+		return fmt.Errorf("xmlenc: DecryptElement requires Type Element or Content, have %q", dataType)
 	}
-	plaintext, err := DecryptOctets(ed, opts)
+	buf := payloadPool.Get().(*[]byte)
+	defer putPayloadBuf(buf)
+	plaintext, err := decryptData(ed, &opts, buf)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	nodes, err := doc.ParseFragment(plaintext)
 	if err != nil {
-		return nil, fmt.Errorf("xmlenc: decrypted plaintext is not well-formed XML: %w", err)
+		return fmt.Errorf("xmlenc: decrypted plaintext is not well-formed XML: %w", err)
 	}
 	if dataType == xmlsecuri.EncTypeElement {
 		if len(nodes) != 1 {
-			return nil, fmt.Errorf("xmlenc: Element-typed plaintext yielded %d nodes", len(nodes))
+			return fmt.Errorf("xmlenc: Element-typed plaintext yielded %d nodes", len(nodes))
 		}
 		if _, ok := nodes[0].(*xmldom.Element); !ok {
-			return nil, errors.New("xmlenc: Element-typed plaintext is not an element")
+			return errors.New("xmlenc: Element-typed plaintext is not an element")
 		}
 	}
 	idx := parent.ChildIndex(ed)
@@ -122,7 +178,7 @@ func DecryptElement(doc *xmldom.Document, ed *xmldom.Element, opts DecryptOption
 	for i, n := range nodes {
 		parent.InsertChildAt(idx+i, n)
 	}
-	return plaintext, nil
+	return nil
 }
 
 // DecryptAll decrypts every EncryptedData of Type Element/Content in the
@@ -143,7 +199,7 @@ func DecryptAll(doc *xmldom.Document, opts DecryptOptions) (int, error) {
 			return total, nil
 		}
 		for _, ed := range structural {
-			if _, err := DecryptElement(doc, ed, opts); err != nil {
+			if err := DecryptElement(doc, ed, opts); err != nil {
 				return total, err
 			}
 			total++
@@ -154,16 +210,22 @@ func DecryptAll(doc *xmldom.Document, opts DecryptOptions) (int, error) {
 
 // cipherPayload extracts the raw ciphertext of an EncryptedData from
 // either an inline CipherValue or an external CipherReference. owned
-// reports that the payload was decoded into a fresh buffer the caller
-// may decrypt in place; a resolver's bytes belong to the resolver (a
+// reports that the payload was decoded into a buffer the caller may
+// decrypt in place: *scratch, which is left holding it, or a fresh one
+// when scratch is nil. A resolver's bytes belong to the resolver (a
 // disc image, say) and are never owned.
-func cipherPayload(ed *xmldom.Element, opts DecryptOptions) (payload []byte, owned bool, err error) {
+func cipherPayload(ed *xmldom.Element, opts *DecryptOptions, scratch *[]byte) (payload []byte, owned bool, err error) {
 	cd := ed.FirstChildNamed(xmlsecuri.EncNamespace, "CipherData")
 	if cd == nil {
 		return nil, false, errors.New("xmlenc: EncryptedData missing CipherData")
 	}
 	if cv := cd.FirstChildNamed(xmlsecuri.EncNamespace, "CipherValue"); cv != nil {
-		payload, err := xmldom.DecodeBase64(cv.Text())
+		if scratch == nil {
+			payload, err = xmldom.DecodeBase64(cv.Text())
+		} else {
+			payload, err = xmldom.AppendDecodeBase64((*scratch)[:0], cv.Text())
+			*scratch = payload
+		}
 		return payload, true, err
 	}
 	if cr := cd.FirstChildNamed(xmlsecuri.EncNamespace, "CipherReference"); cr != nil {
@@ -185,7 +247,7 @@ func cipherPayload(ed *xmldom.Element, opts DecryptOptions) (payload []byte, own
 
 // resolveContentKey recovers the content-encryption key from the
 // EncryptedData's KeyInfo and the options.
-func resolveContentKey(ed *xmldom.Element, algorithm string, opts DecryptOptions) ([]byte, error) {
+func resolveContentKey(ed *xmldom.Element, algorithm string, opts *DecryptOptions) ([]byte, error) {
 	ki := ed.FirstChildNamed(xmlsecuri.DSigNamespace, "KeyInfo")
 	if ki == nil {
 		if opts.Key != nil {
@@ -212,7 +274,7 @@ func resolveContentKey(ed *xmldom.Element, algorithm string, opts DecryptOptions
 		return opts.Key, nil
 	}
 	if kn := ki.FirstChildNamed(xmlsecuri.DSigNamespace, "KeyName"); kn != nil && opts.KeyByName != nil {
-		key, err := opts.KeyByName(kn.Text())
+		key, err := opts.KeyByName(strings.Clone(kn.Text()))
 		if err != nil {
 			return nil, fmt.Errorf("xmlenc: KeyName %q: %w", kn.Text(), err)
 		}
@@ -221,7 +283,7 @@ func resolveContentKey(ed *xmldom.Element, algorithm string, opts DecryptOptions
 	return nil, errors.New("xmlenc: cannot resolve content-encryption key")
 }
 
-func recoverEncryptedKey(ek *xmldom.Element, opts DecryptOptions) ([]byte, error) {
+func recoverEncryptedKey(ek *xmldom.Element, opts *DecryptOptions) ([]byte, error) {
 	em := ek.FirstChildNamed(xmlsecuri.EncNamespace, "EncryptionMethod")
 	if em == nil {
 		return nil, errors.New("xmlenc: EncryptedKey missing EncryptionMethod")
@@ -242,7 +304,7 @@ func recoverEncryptedKey(ek *xmldom.Element, opts DecryptOptions) ([]byte, error
 		if kek == nil && opts.KeyByName != nil {
 			if inner := ek.FirstChildNamed(xmlsecuri.DSigNamespace, "KeyInfo"); inner != nil {
 				if kn := inner.FirstChildNamed(xmlsecuri.DSigNamespace, "KeyName"); kn != nil {
-					kek, err = opts.KeyByName(kn.Text())
+					kek, err = opts.KeyByName(strings.Clone(kn.Text()))
 					if err != nil {
 						return nil, fmt.Errorf("xmlenc: KEK %q: %w", kn.Text(), err)
 					}

@@ -2,7 +2,6 @@ package xmlenc
 
 import (
 	"bytes"
-	"crypto/aes"
 	"crypto/cipher"
 	"encoding/base64"
 	"errors"
@@ -40,11 +39,15 @@ func DecryptOctetsTo(dst io.Writer, ed *xmldom.Element, opts DecryptOptions) (in
 		return 0, errors.New("xmlenc: EncryptedData missing EncryptionMethod")
 	}
 	algorithm := em.AttrValue("Algorithm")
-	key, err := resolveContentKey(ed, algorithm, opts)
+	key, err := resolveContentKey(ed, algorithm, &opts)
 	if err != nil {
 		return 0, err
 	}
 	if err := checkKeyLen(algorithm, key); err != nil {
+		return 0, err
+	}
+	block, err := opts.sched.blockFor(key)
+	if err != nil {
 		return 0, err
 	}
 	src, err := cipherPayloadStream(ed, opts)
@@ -54,9 +57,9 @@ func DecryptOctetsTo(dst io.Writer, ed *xmldom.Element, opts DecryptOptions) (in
 	defer src.Close()
 	switch algorithm {
 	case xmlsecuri.EncAES128CBC, xmlsecuri.EncAES192CBC, xmlsecuri.EncAES256CBC:
-		return decryptCBCTo(dst, key, src)
+		return decryptCBCTo(dst, block, src)
 	case xmlsecuri.EncAES128GCM, xmlsecuri.EncAES256GCM:
-		return decryptGCMTo(dst, key, src)
+		return decryptGCMTo(dst, block, src)
 	default:
 		return 0, fmt.Errorf("%w: block encryption %q", ErrUnsupportedAlgorithm, algorithm)
 	}
@@ -134,11 +137,7 @@ const decryptCBCChunk = 2048 * 16
 // it is not the final (padded) one. CBC carries no integrity of its
 // own — in this system the payload is always covered by a signature
 // reference, verified before or after this call per the Fig. 9 order.
-func decryptCBCTo(dst io.Writer, key []byte, src io.Reader) (int64, error) {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return 0, err
-	}
+func decryptCBCTo(dst io.Writer, block cipher.Block, src io.Reader) (int64, error) {
 	bs := block.BlockSize()
 	iv := make([]byte, bs)
 	if _, err := io.ReadFull(src, iv); err != nil {
@@ -196,12 +195,12 @@ func decryptCBCTo(dst io.Writer, key []byte, src io.Reader) (int64, error) {
 // ciphertext source need not be memory-resident twice); payloads too
 // large to buffer should be packaged under CBC, where the enclosing
 // signature reference provides integrity.
-func decryptGCMTo(dst io.Writer, key []byte, src io.Reader) (int64, error) {
+func decryptGCMTo(dst io.Writer, block cipher.Block, src io.Reader) (int64, error) {
 	payload, err := io.ReadAll(src)
 	if err != nil {
 		return 0, fmt.Errorf("xmlenc: reading ciphertext: %w", err)
 	}
-	pt, err := decryptGCM(key, payload, true) // ReadAll's buffer is ours
+	pt, err := decryptGCM(block, payload, true) // ReadAll's buffer is ours
 	if err != nil {
 		return 0, err
 	}
