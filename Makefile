@@ -75,8 +75,9 @@ chaos:
 # against the encoding/xml reference tokenizer, the canonicalizer core
 # (DOM walk, every subset apex) and its token-fed form against the
 # reference tree walker, the library's cache-key pass, memo cold and
-# warm, against the DOM pipeline (see DESIGN.md §14), the shared base64
-# decoder against strip-then-decode with the standard library,
+# warm, against the DOM pipeline (see DESIGN.md §14), the key memo's tag
+# against byte equality, the shared base64 decoder against
+# strip-then-decode with the standard library,
 # verification with the signature memo warm against verification with
 # every memo reset (mutated SignedInfo, SignatureValue and KeyInfo; see
 # DESIGN.md §11), the cluster frame decoder on arbitrary bytes (see
@@ -88,6 +89,7 @@ fuzz-smoke:
 	$(GO) test ./internal/c14n -run '^$$' -fuzz '^FuzzCanonicalize$$' -fuzztime 15s
 	$(GO) test ./internal/c14n -run '^$$' -fuzz '^FuzzStreamDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/library -run '^$$' -fuzz '^FuzzKeyDifferential$$' -fuzztime 15s
+	$(GO) test ./internal/library -run '^$$' -fuzz '^FuzzMemoTagDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/xmldom -run '^$$' -fuzz '^FuzzBase64Text$$' -fuzztime 15s
 	$(GO) test ./internal/xmldsig -run '^$$' -fuzz '^FuzzSignatureMemoDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 15s

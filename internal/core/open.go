@@ -144,7 +144,8 @@ func (o *Opener) OpenDocument(ctx context.Context, doc *xmldom.Document) (*OpenR
 	dec.Recorder = rec
 	res := &OpenResult{Doc: doc}
 
-	sigs := xmldsig.FindSignatures(doc)
+	var sigBuf [4]*xmldom.Element
+	sigs := xmldsig.AppendSignatures(sigBuf[:0], doc)
 	if len(sigs) == 0 {
 		if o.RequireSignature {
 			rec.Audit(obs.AuditVerifyFailed, "unsigned document rejected: platform requires a signature")

@@ -33,10 +33,10 @@ type Result struct {
 // the document except those the signature's decryption transforms list in
 // dcrpt:Except, using the supplied key material. After it returns, the
 // document is in the state xmldsig core validation expects.
-func ProcessSignature(doc *xmldom.Document, sig *xmldom.Element, opts xmlenc.DecryptOptions) (*Result, error) {
+func ProcessSignature(doc *xmldom.Document, sig *xmldom.Element, opts xmlenc.DecryptOptions) (Result, error) {
 	exceptions, err := xmldsig.DecryptionExceptions(sig)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	return ProcessDocument(doc, exceptions, opts)
 }
@@ -45,22 +45,19 @@ func ProcessSignature(doc *xmldom.Document, sig *xmldom.Element, opts xmlenc.Dec
 // whose Id is not in the exceptions list (fragment URIs "#id" or bare
 // ids). Decryption repeats until no non-excepted structures remain, so
 // super-encrypted regions fully open.
-func ProcessDocument(doc *xmldom.Document, exceptions []string, opts xmlenc.DecryptOptions) (*Result, error) {
-	except := map[string]bool{}
-	for _, e := range exceptions {
-		except[strings.TrimPrefix(e, "#")] = true
-	}
-
-	res := &Result{}
+func ProcessDocument(doc *xmldom.Document, exceptions []string, opts xmlenc.DecryptOptions) (Result, error) {
+	var res Result
+	var buf [16]*xmldom.Element
 	for pass := 0; pass < 32; pass++ {
-		var targets []*xmldom.Element
+		eds := xmlenc.AppendEncryptedData(buf[:0], doc)
+		targets := eds[:0]
 		excepted := 0
-		for _, ed := range xmlenc.FindEncryptedData(doc) {
+		for _, ed := range eds {
 			tp := ed.AttrValue("Type")
 			if tp != xmlsecuri.EncTypeElement && tp != xmlsecuri.EncTypeContent {
 				continue
 			}
-			if id := ed.AttrValue("Id"); id != "" && except[id] {
+			if id := ed.AttrValue("Id"); id != "" && isExcepted(exceptions, id) {
 				excepted++
 				continue
 			}
@@ -78,4 +75,15 @@ func ProcessDocument(doc *xmldom.Document, exceptions []string, opts xmlenc.Decr
 		}
 	}
 	return res, fmt.Errorf("dectrans: encryption nesting too deep")
+}
+
+// isExcepted reports whether id is among the exceptions. A signature
+// lists a handful at most, so a scan beats building a set per pass.
+func isExcepted(exceptions []string, id string) bool {
+	for _, e := range exceptions {
+		if strings.TrimPrefix(e, "#") == id {
+			return true
+		}
+	}
+	return false
 }

@@ -92,7 +92,7 @@ func OpenXMLPackage(pkg []byte) ([]byte, error) {
 	if _, err := xmldsig.VerifyDocument(doc, xmldsig.VerifyOptions{HMACKey: HMACKey}); err != nil {
 		return nil, err
 	}
-	eds := xmlenc.FindEncryptedData(doc)
+	eds := xmlenc.AppendEncryptedData(nil, doc)
 	if len(eds) != 1 {
 		return nil, fmt.Errorf("experiments: %d EncryptedData in package", len(eds))
 	}

@@ -2,6 +2,9 @@ package library
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -39,8 +42,9 @@ func CanonicalKey(doc *xmldom.Document, rec *obs.Recorder) (string, error) {
 // Front is one document read through the key front: the bytes as read
 // and the cache key derived from them. Every serving form opens through
 // it — library.OpenReader and OpenDocument, POST /verify, cluster
-// edges and the origin — so a warm open is one tokenization feeding
-// the canonicalizer and SHA-256, and builds no tree; only a miss parses
+// edges and the origin — so a warm open is one tag of the bytes and a
+// key-memo hit (first-seen bytes take one tokenization feeding the
+// canonicalizer and SHA-256), and builds no tree; only a miss parses
 // Raw into the DOM verification needs.
 type Front struct {
 	// Key is the hex exclusive-C14N digest of Raw (CanonicalKey's
@@ -128,22 +132,78 @@ func KeyBytes(rec *obs.Recorder, raw []byte) (string, error) {
 	return canonicalKey(rec, raw)
 }
 
-// keyMemo sits in front of the canonical key: it maps the SHA-256 of a
-// document's exact bytes to the key canonicalKey derived from them, so
-// a repeat of those bytes is keyed by one hash instead of a
-// tokenization, a canonicalization and a hash. It caches a pure
-// function, so it is process-wide. At most keyMemoCap entries, about
-// 1 MiB, whatever the traffic.
+// keyMemo sits in front of the canonical key: it maps a secret-keyed
+// tag of a document's exact bytes (rawTag) to the key canonicalKey
+// derived from them, so a repeat of those bytes is keyed by one GHASH
+// pass instead of a tokenization, a canonicalization and a SHA-256. It
+// caches a pure function, so it is process-wide. At most keyMemoCap
+// entries, under 1 MiB, whatever the traffic.
 const keyMemoCap = 8192
 
-var keyMemo = memo.New[[sha256.Size]byte, string](keyMemoCap)
+var keyMemo = memo.New[rawTag, string](keyMemoCap)
 
-// canonicalKey is the cache key of raw: memoized by the SHA-256 of the
-// bytes, computed by canonicalPass on a miss. Only successes are
-// stored, so malformed bytes fail again on every call.
+// keyTagger tags raw bytes for keyMemo. Its key is drawn once per
+// process and never leaves it.
+var keyTagger = newTagger()
+
+// rawTag is the 128-bit GMAC tag of a document's bytes. Two distinct
+// inputs of at most l blocks collide with probability at most
+// (l+1)/2^128 while the tagger key is secret; two tags of known bytes
+// reveal the GHASH key, so a tag is never printed, logged, counted or
+// exported (SECURITY.md, "Cryptographic notes"). It has no methods on
+// purpose.
+type rawTag [16]byte
+
+// tagger computes rawTags: AES-GCM sealing an empty plaintext with the
+// bytes as additional data under one fixed nonce. The instance never
+// encrypts, so the fixed nonce reuses no keystream; the tag is
+// GHASH_H(bytes) masked by the constant E_K(J0).
+type tagger struct {
+	aead  cipher.AEAD
+	nonce [12]byte
+}
+
+// newTagger returns a tagger under a fresh key from crypto/rand.
+func newTagger() *tagger {
+	var key [16]byte
+	if _, err := rand.Read(key[:]); err != nil {
+		panic("library: drawing the key-memo tag key: " + err.Error())
+	}
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		panic("library: key-memo tag cipher: " + err.Error())
+	}
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		panic("library: key-memo tag GCM: " + err.Error())
+	}
+	return &tagger{aead: aead}
+}
+
+// tagBufs holds Seal's output: through the interface call both dst and
+// the nonce escape, so a stack buffer would cost an allocation per tag.
+var tagBufs = sync.Pool{New: newTagBuf}
+
+func newTagBuf() any { return new(rawTag) }
+
+// memoTag is raw's tag under t.
+//
+//discvet:hotpath every open of every form tags its bytes here, hit or miss
+func (t *tagger) memoTag(raw []byte) rawTag {
+	out := tagBufs.Get().(*rawTag)
+	t.aead.Seal(out[:0], t.nonce[:], nil, raw)
+	var tag rawTag
+	copy(tag[:], out[:])
+	tagBufs.Put(out)
+	return tag
+}
+
+// canonicalKey is the cache key of raw: memoized by raw's tag, computed
+// by canonicalPass on a miss. Only successes are stored, so malformed
+// bytes fail again on every call.
 func canonicalKey(rec *obs.Recorder, raw []byte) (string, error) {
-	sum := sha256.Sum256(raw)
-	if key, ok := keyMemo.Get(sum); ok {
+	tag := keyTagger.memoTag(raw)
+	if key, ok := keyMemo.Get(tag); ok {
 		rec.Inc("library.key_memo_hit")
 		return key, nil
 	}
@@ -151,7 +211,7 @@ func canonicalKey(rec *obs.Recorder, raw []byte) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	keyMemo.Put(sum, key)
+	keyMemo.Put(tag, key)
 	return key, nil
 }
 

@@ -78,11 +78,11 @@ func TestWarmHitBuildsNoDOM(t *testing.T) {
 // BenchmarkKeyFront measures the key front a warm open runs — read the
 // document into a pooled buffer and key it — over the committed
 // corpus. memo-cold resets the key memo before every iteration, outside
-// the timed region, so it times what first-seen bytes cost: the SHA-256
-// of the raw bytes, a memo miss, the full pass (one tokenization
+// the timed region, so it times what first-seen bytes cost: the GMAC
+// tag of the raw bytes, a memo miss, the full pass (one tokenization
 // through streaming exclusive C14N into SHA-256, the operation the
 // benchmark suite's library.key replay row times) and the memo insert.
-// memo-warm times a repeat of the same bytes, one SHA-256 and a memo
+// memo-warm times a repeat of the same bytes, one tag and a memo
 // lookup.
 func BenchmarkKeyFront(b *testing.B) {
 	for _, memo := range []string{"memo-cold", "memo-warm"} {

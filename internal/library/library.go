@@ -25,11 +25,11 @@
 // dependent verdict without a global lock or a cache walk.
 //
 // The canonical key is memoized in front of the canonical pass: a
-// process-wide, bounded memo maps the SHA-256 of a document's exact
-// bytes to its key, so a repeat open of bytes already keyed hashes
-// them once and neither tokenizes nor canonicalizes. The memo does not
-// replace the canonical key; any byte change misses it and is keyed by
-// its canonical form.
+// process-wide, bounded memo maps a secret-keyed GMAC tag of a
+// document's exact bytes to its key, so a repeat open of bytes already
+// keyed makes one GHASH pass over them and neither tokenizes nor
+// canonicalizes. The memo does not replace the canonical key; any byte
+// change misses it and is keyed by its canonical form.
 //
 // Concurrency: lookups are lock-free per shard beyond one short mutex;
 // concurrent misses for the same digest collapse into a single

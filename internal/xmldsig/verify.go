@@ -126,25 +126,29 @@ func FindSignature(doc *xmldom.Document) *xmldom.Element {
 	return found
 }
 
-// FindSignatures locates every ds:Signature element in the document.
-func FindSignatures(doc *xmldom.Document) []*xmldom.Element {
+// AppendSignatures appends every ds:Signature element of doc, in
+// document order, to dst and returns the extended slice. A signature's
+// own subtree is not searched: nested signatures are its business. A
+// caller that only ranges over the signatures passes a small stack
+// buffer, so the search allocates nothing.
+func AppendSignatures(dst []*xmldom.Element, doc *xmldom.Document) []*xmldom.Element {
 	root := doc.Root()
 	if root == nil {
-		return nil
+		return dst
 	}
-	var out []*xmldom.Element
-	root.Walk(func(n xmldom.Node) bool {
-		e, ok := n.(*xmldom.Element)
-		if !ok {
-			return true
+	return appendSignatures(dst, root)
+}
+
+func appendSignatures(dst []*xmldom.Element, e *xmldom.Element) []*xmldom.Element {
+	if e.Local == "Signature" && e.NamespaceURI() == xmlsecuri.DSigNamespace {
+		return append(dst, e)
+	}
+	for _, c := range e.Children {
+		if ce, ok := c.(*xmldom.Element); ok {
+			dst = appendSignatures(dst, ce)
 		}
-		if e.Local == "Signature" && e.NamespaceURI() == xmlsecuri.DSigNamespace {
-			out = append(out, e)
-			return false // nested signatures inside a Signature are its own business
-		}
-		return true
-	})
-	return out
+	}
+	return dst
 }
 
 // VerifyDocument locates the first signature in doc and validates it.

@@ -358,7 +358,7 @@ func TestMultipleSignatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc2 := parseDoc(t, doc.Root().String())
-	sigs := FindSignatures(doc2)
+	sigs := AppendSignatures(nil, doc2)
 	if len(sigs) != 2 {
 		t.Fatalf("found %d signatures, want 2", len(sigs))
 	}

@@ -85,26 +85,29 @@ func IsEncryptedData(el *xmldom.Element) bool {
 	return el != nil && el.Local == "EncryptedData" && el.NamespaceURI() == xmlsecuri.EncNamespace
 }
 
-// FindEncryptedData returns every xenc:EncryptedData in document order
-// (not descending into EncryptedData contents, which are opaque).
-func FindEncryptedData(doc *xmldom.Document) []*xmldom.Element {
+// AppendEncryptedData appends every xenc:EncryptedData of doc, in
+// document order, to dst and returns the extended slice. EncryptedData
+// contents are opaque and not searched. A caller that only ranges over
+// the structures passes a small stack buffer, so the search allocates
+// nothing.
+func AppendEncryptedData(dst []*xmldom.Element, doc *xmldom.Document) []*xmldom.Element {
 	root := doc.Root()
 	if root == nil {
-		return nil
+		return dst
 	}
-	var out []*xmldom.Element
-	root.Walk(func(n xmldom.Node) bool {
-		e, ok := n.(*xmldom.Element)
-		if !ok {
-			return true
+	return appendEncryptedData(dst, root)
+}
+
+func appendEncryptedData(dst []*xmldom.Element, e *xmldom.Element) []*xmldom.Element {
+	if IsEncryptedData(e) {
+		return append(dst, e)
+	}
+	for _, c := range e.Children {
+		if ce, ok := c.(*xmldom.Element); ok {
+			dst = appendEncryptedData(dst, ce)
 		}
-		if IsEncryptedData(e) {
-			out = append(out, e)
-			return false
-		}
-		return true
-	})
-	return out
+	}
+	return dst
 }
 
 // DecryptOctets recovers the plaintext octets of an EncryptedData
@@ -186,10 +189,11 @@ func DecryptElement(doc *xmldom.Document, ed *xmldom.Element, opts DecryptOption
 // It returns the number of structures decrypted.
 func DecryptAll(doc *xmldom.Document, opts DecryptOptions) (int, error) {
 	total := 0
+	var buf [16]*xmldom.Element
 	for pass := 0; pass < 32; pass++ {
-		targets := FindEncryptedData(doc)
-		var structural []*xmldom.Element
-		for _, ed := range targets {
+		eds := AppendEncryptedData(buf[:0], doc)
+		structural := eds[:0]
+		for _, ed := range eds {
 			tp := ed.AttrValue("Type")
 			if tp == xmlsecuri.EncTypeElement || tp == xmlsecuri.EncTypeContent {
 				structural = append(structural, ed)

@@ -286,7 +286,7 @@ func TestCorruptedCiphertextFails(t *testing.T) {
 	if _, err := EncryptElement(target, EncryptOptions{Key: k}); err != nil {
 		t.Fatal(err)
 	}
-	eds := FindEncryptedData(doc)
+	eds := AppendEncryptedData(nil, doc)
 	cv, _ := eds[0].Find("CipherData/CipherValue")
 	txt := cv.Text()
 	cv.SetText("AAAA" + txt[4:])
@@ -326,10 +326,10 @@ func TestSuperEncryption(t *testing.T) {
 	// sequential passes: first pass with k2 reveals inner ED, second
 	// with k1. DecryptAll with a single key cannot do both, so drive
 	// manually.
-	if err := DecryptElement(doc2, FindEncryptedData(doc2)[0], DecryptOptions{Key: k2}); err != nil {
+	if err := DecryptElement(doc2, AppendEncryptedData(nil, doc2)[0], DecryptOptions{Key: k2}); err != nil {
 		t.Fatalf("outer: %v", err)
 	}
-	if err := DecryptElement(doc2, FindEncryptedData(doc2)[0], DecryptOptions{Key: k1}); err != nil {
+	if err := DecryptElement(doc2, AppendEncryptedData(nil, doc2)[0], DecryptOptions{Key: k1}); err != nil {
 		t.Fatalf("inner: %v", err)
 	}
 	if el, _ := doc2.Root().Find("state/highscores/entry"); el == nil || el.AttrValue("score") != "9000" {
@@ -347,7 +347,7 @@ func TestNamespaceSelfContainment(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Move the EncryptedData into a fresh document with no g binding.
-	ed := FindEncryptedData(doc)[0]
+	ed := AppendEncryptedData(nil, doc)[0]
 	fresh := &xmldom.Document{}
 	wrapper := xmldom.NewElement("other")
 	fresh.SetRoot(wrapper)
