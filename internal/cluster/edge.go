@@ -55,9 +55,11 @@ type Edge struct {
 }
 
 // The edge's record store is byte-budgeted, so a flood of distinct
-// pushes can only evict records, never grow memory. A record is charged
-// its key and signer lengths plus recordOverhead, an estimate of the
-// rest of its heap (struct, LRU item, list element and map slot).
+// pushes can never grow memory, and its admission (lru.Cache) refuses
+// most of them once the store is full rather than evict records that
+// opens keep reading. A record is charged its key and signer lengths
+// plus recordOverhead, an estimate of the rest of its heap (struct,
+// cache node and map slot).
 const (
 	recordBudget   = 16 << 20
 	recordOverhead = 192
@@ -257,8 +259,9 @@ func (e *Edge) Join(ctx context.Context) error {
 }
 
 // Pull replicates the origin's resident verdict set into the edge's
-// cache (bootstrap for a cold or rejoining edge), returning how many
-// records were adopted.
+// cache (bootstrap for a cold or rejoining edge), returning how many of
+// the pulled records are resident when it returns: a set bigger than
+// the store passes through admission like any other flood.
 func (e *Edge) Pull(ctx context.Context) (int, error) {
 	ctx, rec := e.obsContext(ctx)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, e.origin+PathVerdicts, nil)
@@ -275,21 +278,33 @@ func (e *Edge) Pull(ctx context.Context) (int, error) {
 		return 0, classifyExchange(e.origin+PathVerdicts, resp)
 	}
 	fr := NewFrameReader(resp.Body)
-	n := 0
+	var keys []string
 	for {
 		var rd Record
 		if err := fr.Next(&rd); err != nil {
 			if err == io.EOF {
 				break
 			}
-			return n, err
+			return e.resident(keys), err
 		}
 		if e.storeRecord(rec, rd) {
-			n++
+			keys = append(keys, rd.Key)
 		}
 	}
 	rec.Inc("cluster.pull")
-	return n, nil
+	return e.resident(keys), nil
+}
+
+// resident counts the keys whose records are in the store, without
+// counting toward their frequency.
+func (e *Edge) resident(keys []string) int {
+	n := 0
+	for _, k := range keys {
+		if _, ok := e.records.Peek(k); ok {
+			n++
+		}
+	}
+	return n
 }
 
 // Heartbeat performs one origin liveness probe: it polls the fleet
@@ -397,7 +412,7 @@ func releaseUnsent(f *library.Front, status Status) {
 // peer requests (forwarded=true fills from the origin directly, never
 // re-forwards).
 func (e *Edge) open(ctx context.Context, rec *obs.Recorder, key string, body []byte, forwarded bool) (Record, Status, error) {
-	rd, ok, err := e.lookup(rec, key)
+	rd, ok, err := e.lookup(rec, key, true)
 	if err != nil {
 		return Record{}, StatusHit, err
 	}
@@ -410,8 +425,9 @@ func (e *Edge) open(ctx context.Context, rec *obs.Recorder, key string, body []b
 	status := StatusMiss
 	rd, err, shared := e.flights.Do(key, func() (Record, error) {
 		// Double-check under flight leadership: a push or a racing
-		// fill may have landed since the first lookup.
-		if rd, ok, lerr := e.lookup(rec, key); lerr != nil {
+		// fill may have landed since the first lookup, which already
+		// counted this open toward the key's frequency.
+		if rd, ok, lerr := e.lookup(rec, key, false); lerr != nil {
 			return Record{}, lerr
 		} else if ok {
 			status = StatusHit
@@ -432,9 +448,16 @@ func (e *Edge) open(ctx context.Context, rec *obs.Recorder, key string, body []b
 // lookup serves the warm path: one record fetch plus the epoch and
 // partition gates. A record whose epoch lags the announced one dies
 // here (library.ErrTrustChanged); a warm hit on a Down edge fails
-// closed; a warm hit on a Degraded edge serves, audited.
-func (e *Edge) lookup(rec *obs.Recorder, key string) (Record, bool, error) {
-	rd, ok := e.records.Get(key)
+// closed; a warm hit on a Degraded edge serves, audited. count says
+// whether the fetch counts toward the key's frequency: once per open.
+func (e *Edge) lookup(rec *obs.Recorder, key string, count bool) (Record, bool, error) {
+	var rd Record
+	var ok bool
+	if count {
+		rd, ok = e.records.Get(key)
+	} else {
+		rd, ok = e.records.Peek(key)
+	}
 	if !ok {
 		return Record{}, false, nil
 	}
@@ -520,17 +543,21 @@ func (e *Edge) adopt(rec *obs.Recorder, key string, rd Record) error {
 		return resilience.Terminal(fmt.Errorf("cluster: edge %s: verdict keyed %.12s for content keyed %.12s: %w",
 			e.name, rd.Key, key, ErrKeyMismatch))
 	}
-	if !e.storeRecord(rec, rd) {
+	// A fill refused at admission still serves this open; only a lagging
+	// one fails it.
+	if !e.storeRecord(rec, rd) && rd.Epoch < e.epoch.Load() {
 		return fmt.Errorf("cluster: edge %s: filled verdict %.12s at epoch %d lags announced epoch %d: %w",
 			e.name, key, rd.Epoch, e.epoch.Load(), library.ErrTrustChanged)
 	}
 	return nil
 }
 
-// storeRecord admits a pushed, pulled or filled record unless it lags
-// the announced epoch. No key check is needed here: a stored record
-// only ever serves content whose digest the edge recomputes to exactly
-// that key.
+// storeRecord offers a pushed, pulled or filled record to the store
+// unless it lags the announced epoch, and reports whether the store
+// admitted it. cluster.evict counts the records that left the store or
+// never entered it, as library.evict does for verdicts. No key check is
+// needed here: a stored record only ever serves content whose digest
+// the edge recomputes to exactly that key.
 func (e *Edge) storeRecord(rec *obs.Recorder, rd Record) bool {
 	if rd.Key == "" {
 		return false
@@ -539,8 +566,14 @@ func (e *Edge) storeRecord(rec *obs.Recorder, rd Record) bool {
 		rec.Inc("cluster.lagging_drop")
 		return false
 	}
-	e.records.Put(rd.Key, rd, recordCharge(rd))
-	return true
+	evicted, admitted := e.records.Put(rd.Key, rd, recordCharge(rd))
+	if evicted > 0 {
+		rec.Add("cluster.evict", int64(evicted))
+	}
+	if !admitted {
+		rec.Inc("cluster.admit_reject")
+	}
+	return admitted
 }
 
 // exchange posts a document to a verification route (peer or origin)

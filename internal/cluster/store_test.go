@@ -14,6 +14,7 @@ import (
 	"discsec/internal/experiments"
 	"discsec/internal/keymgmt"
 	"discsec/internal/library"
+	"discsec/internal/obs"
 	"discsec/internal/workload"
 )
 
@@ -97,6 +98,40 @@ func TestEdgeRecordsBounded(t *testing.T) {
 		if _, st, err := e.OpenReader(ctx, bytes.NewReader([]byte(doc))); err != nil || st != cluster.StatusHit {
 			t.Fatalf("reopen %d: status=%q err=%v, want a hit on a filled record", i, st, err)
 		}
+	}
+}
+
+// of a quarter more records than its budget holds: Pull reports
+// exactly the records resident when it returns, and cluster.evict the
+// rest, which left the store or never entered it.
+func TestPullCountsResidentRecords(t *testing.T) {
+	charge := cluster.RecordCharge(cluster.Record{Key: hex.EncodeToString(make([]byte, 32)), Signer: testSigner})
+	capacity := int(cluster.RecordBudget / charge)
+	total := capacity + capacity/4
+	var body bytes.Buffer
+	for i := 0; i < total; i++ {
+		if err := cluster.WriteFrame(&body, cluster.Record{Key: fmt.Sprintf("%064x", i), Signer: testSigner, Signatures: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(body.Bytes()) //nolint:errcheck
+	}))
+	defer srv.Close()
+	rec := obs.NewRecorder()
+	// No client timeout: under -race the pull takes longer than the
+	// default one allows.
+	e := cluster.NewEdge("edge-0", "http://self.invalid", srv.URL,
+		cluster.WithEdgeRecorder(rec), cluster.WithEdgeClient(&http.Client{}))
+	n, err := e.Pull(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != e.Records() || n > capacity || n < capacity*9/10 {
+		t.Fatalf("pull of %d records reported %d, store holds %d; want them equal and within 10 %% of the %d the budget holds", total, n, e.Records(), capacity)
+	}
+	if got := rec.Counter("cluster.evict"); got != int64(total-n) {
+		t.Errorf("cluster.evict = %d, want the %d pulled records not resident", got, total-n)
 	}
 }
 

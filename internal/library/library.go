@@ -7,7 +7,7 @@
 // on every Application Manifest load — the dominant cost once XML
 // security overhead (2.5–5.1x over binary per reference [37]) meets the
 // ROADMAP's millions-of-concurrent-users target. The library
-// amortizes that cost safely: a sharded, byte-budgeted LRU cache whose
+// amortizes that cost safely: a sharded, byte-budgeted cache whose
 // entries are verdicts — the decoded content model and the
 // core.OpenResult security report, without the verified tree — keyed
 // by the triple
@@ -22,7 +22,9 @@
 // on the fingerprint of the key that validated SignatureValue (not the
 // mutable KeyName/CN hints) binds the verdict to the actual signer; and
 // the epoch pair (global + per-signer) lets a revocation flush every
-// dependent verdict without a global lock or a cache walk.
+// dependent verdict without a global lock or a cache walk. Each shard is
+// an lru.Cache, whose W-TinyLFU admission keeps the verdicts opened
+// often resident while a scan of documents opened once passes through.
 //
 // The canonical key is memoized in front of the canonical pass: a
 // process-wide, bounded memo maps a secret-keyed GMAC tag of a
@@ -352,15 +354,16 @@ func (l *Library) OpenDocument(ctx context.Context, raw []byte) (*Verdict, Statu
 // resolver, when non-nil, dereferences detached URIs (the mounted
 // image).
 func (l *Library) open(ctx context.Context, rec *obs.Recorder, key string, raw []byte, resolver *disc.Image) (*Verdict, Status, error) {
-	if v, ok := l.lookup(rec, key); ok {
+	if v, ok := l.lookup(rec, key, true); ok {
 		rec.Inc("library.hit")
 		return v, StatusHit, nil
 	}
 	var status Status
 	v, err, shared := l.flights.Do(key, func() (*Verdict, error) {
 		// Double-check under flight leadership: a racing fill may have
-		// landed between our lookup and taking the flight.
-		if v, ok := l.lookup(rec, key); ok {
+		// landed between our lookup and taking the flight. The first
+		// lookup already counted this open toward the key's frequency.
+		if v, ok := l.lookup(rec, key, false); ok {
 			status = StatusHit
 			rec.Inc("library.hit")
 			return v, nil
@@ -383,12 +386,20 @@ func (l *Library) open(ctx context.Context, rec *obs.Recorder, key string, raw [
 
 // lookup returns a valid cached verdict, lazily evicting entries whose
 // trust epochs moved. Serving a hit while trust is degraded is allowed
-// (the verdict was filled from live trust) but audited.
+// (the verdict was filled from live trust) but audited. count says
+// whether the lookup counts toward the key's frequency, which decides
+// admission: once per open.
 //
 //discvet:hotpath the warm-open path: millions of opens resolve here
-func (l *Library) lookup(rec *obs.Recorder, key string) (*Verdict, bool) {
+func (l *Library) lookup(rec *obs.Recorder, key string, count bool) (*Verdict, bool) {
 	sh := l.shardFor(key)
-	e, ok := sh.Get(key)
+	var e entry
+	var ok bool
+	if count {
+		e, ok = sh.Get(key)
+	} else {
+		e, ok = sh.Peek(key)
+	}
 	if !ok {
 		return nil, false
 	}
@@ -515,9 +526,15 @@ func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, raw [
 			continue
 		}
 		l.indexSigner(res, v.Fingerprint)
-		evicted := l.shardFor(key).Put(key, entry{v: v, globalEpoch: ge, signerEpoch: se}, int64(len(raw)))
+		// A verdict refused at admission is still returned; it counts as
+		// evicted, so library.evict is every verdict that left the cache
+		// or never entered it.
+		evicted, admitted := l.shardFor(key).Put(key, entry{v: v, globalEpoch: ge, signerEpoch: se}, int64(len(raw)))
 		if evicted > 0 {
 			rec.Add("library.evict", int64(evicted))
+		}
+		if !admitted {
+			rec.Inc("library.admit_reject")
 		}
 		rec.Inc("library.miss")
 		return v, nil

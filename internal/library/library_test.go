@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -233,7 +234,8 @@ func TestByteBudgetEvicts(t *testing.T) {
 	rec := obs.NewRecorder()
 	raw := indexBytes(t, buildImage(t, 4))
 	// Budget fits roughly two documents in one shard, so the third
-	// insert must evict the least recently used.
+	// fill must evict a resident verdict or be refused at admission;
+	// either counts as an eviction.
 	lib := newLib(rec,
 		library.WithShards(1),
 		library.WithByteBudget(int64(len(raw))*2+int64(len(raw))/2),
@@ -248,6 +250,71 @@ func TestByteBudgetEvicts(t *testing.T) {
 	}
 	if n := lib.Len(); n > 2 {
 		t.Errorf("%d resident entries exceed the byte budget", n)
+	}
+}
+
+// TestScanKeepsHotVerdicts: verdicts re-opened between Mount-style
+// opens of documents seen once stay resident. The hot set is half the
+// byte budget and is re-opened once per budget's worth of cold mounts,
+// for ten budgets. Least-recently-used eviction would lose every hot
+// verdict to each budget of cold mounts; admission by frequency keeps
+// them, since a cold document is opened once and a hot one every cycle.
+// Every cache draws a random hash seed; over 1 000 runs no hot re-open
+// missed.
+func TestScanKeepsHotVerdicts(t *testing.T) {
+	rec := obs.NewRecorder()
+	ctx := context.Background()
+	hot := make([][]byte, 4)
+	var hotBytes int64
+	for i := range hot {
+		hot[i] = indexBytes(t, buildImage(t, uint64(2000+i)))
+		hotBytes += int64(len(hot[i]))
+	}
+	budget := 2 * hotBytes
+	lib := newLib(rec, library.WithShards(1), library.WithByteBudget(budget))
+	open := func(raw []byte) library.Status {
+		t.Helper()
+		_, st, err := lib.OpenDocument(ctx, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	// Two opens make the hot set: the fill, then a hit.
+	for _, raw := range hot {
+		open(raw)
+	}
+	for i, raw := range hot {
+		if st := open(raw); st != library.StatusHit {
+			t.Fatalf("hot document %d: second open %q, want a hit", i, st)
+		}
+	}
+	seed, misses := uint64(3000), 0
+	for cycle := 0; cycle < 10; cycle++ {
+		for scanned := int64(0); scanned < budget; seed++ {
+			im := buildImage(t, seed)
+			name := fmt.Sprintf("cold-%d", seed)
+			if err := lib.Mount(ctx, name, im); err != nil {
+				t.Fatal(err)
+			}
+			lib.Unmount(name)
+			scanned += int64(len(indexBytes(t, im)))
+		}
+		for i, raw := range hot {
+			if st := open(raw); st != library.StatusHit {
+				misses++
+				t.Logf("cycle %d: hot document %d %q", cycle, i, st)
+			}
+		}
+		if b := lib.SizeBytes(); b > budget {
+			t.Fatalf("cycle %d: %d bytes resident over a %d-byte budget", cycle, b, budget)
+		}
+	}
+	if misses > 0 {
+		t.Errorf("%d of %d hot re-opens missed under %d cold mounts", misses, 10*len(hot), seed-3000)
+	}
+	if rec.Counter("library.admit_reject") == 0 {
+		t.Error("no cold verdict was refused at admission")
 	}
 }
 

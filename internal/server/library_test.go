@@ -344,6 +344,55 @@ func TestVerifyRoute(t *testing.T) {
 	}
 }
 
+// TestMetricszShowsAdmitReject: a verdict the library refuses at
+// admission is counted, and /metricsz shows the count when the library
+// and the server share a recorder.
+func TestMetricszShowsAdmitReject(t *testing.T) {
+	root, creator := libraryPKI(t)
+	docs := make([][]byte, 2)
+	for i := range docs {
+		cluster, _ := workload.Cluster(workload.ClusterSpec{AVTracks: 1, Seed: uint64(60 + i)})
+		doc := cluster.Document()
+		if _, err := xmldsig.SignEnveloped(doc, doc.Root(), xmldsig.SignOptions{
+			Key:     creator.Key,
+			KeyInfo: xmldsig.KeyInfoSpec{Certificates: [][]byte{creator.Cert.Raw}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		docs[i] = doc.Bytes()
+	}
+	rec := obs.NewRecorder()
+	// Room for one verdict: the second, opened as often as the first,
+	// is refused rather than evict it.
+	lib := library.New(
+		library.WithOpener(core.Opener{Roots: root.Pool(), RequireSignature: true}),
+		library.WithRecorder(rec),
+		library.WithShards(1),
+		library.WithByteBudget(int64(max(len(docs[0]), len(docs[1])))*3/2),
+	)
+	cs := NewContentServer(WithLibrary(lib), WithRecorder(rec))
+	for i, raw := range docs {
+		w := httptest.NewRecorder()
+		cs.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/verify", bytes.NewReader(raw)))
+		if w.Code != http.StatusOK || w.Header().Get(HeaderLibraryCache) != string(library.StatusMiss) {
+			t.Fatalf("verify %d: %d %q", i, w.Code, w.Header().Get(HeaderLibraryCache))
+		}
+	}
+	if lib.Len() != 1 {
+		t.Errorf("library holds %d verdicts, want the first alone", lib.Len())
+	}
+	w := httptest.NewRecorder()
+	cs.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metricsz", nil))
+	for _, want := range []string{
+		`discsec_counter{name="library.admit_reject"} 1`,
+		`discsec_counter{name="library.evict"} 1`,
+	} {
+		if !strings.Contains(w.Body.String(), want) {
+			t.Errorf("/metricsz missing %q in:\n%s", want, w.Body.String())
+		}
+	}
+}
+
 // TestVerifyRouteNoLibrary: POST /verify without an attached library is
 // a plain 404.
 func TestVerifyRouteNoLibrary(t *testing.T) {
