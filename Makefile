@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint lint-baseline vet-bench race poison faults chaos fuzz-smoke check bench tables tools examples cover clean
+.PHONY: all build test lint lint-baseline vet-bench race poison faults chaos fuzz-smoke check bench tables tools examples cover loc clean
 
 all: build test
 
@@ -124,6 +124,13 @@ examples:
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
+
+# Non-test Go lines, counted the way ROADMAP reports each change's net
+# line count: wc -l over every .go file except tests, testdata, the
+# benchmark suite (cmd/discbench/suite) and hidden build directories.
+loc:
+	@find . -path './.*' -prune -o -path ./cmd/discbench/suite -prune -o -path '*/testdata' -prune \
+		-o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 # Build and test outputs only.
 clean:

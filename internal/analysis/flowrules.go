@@ -63,7 +63,6 @@ var errCheckedProducers = []FuncRef{
 	// The Verifier+Decryptor driver.
 	{Pkg: pkgCore, Recv: "Opener", Name: "Open"},
 	{Pkg: pkgCore, Recv: "Opener", Name: "OpenReader"},
-	{Pkg: pkgCore, Recv: "Opener", Name: "OpenDocument"},
 	{Pkg: pkgCore, Recv: "Opener", Name: "VerifyDetached"},
 	{Pkg: pkgCore, Recv: "Opener", Name: "VerifyDetachedReader"},
 	// The leaf verifier.

@@ -16,9 +16,9 @@ type readerFirstEntry struct {
 // verification path. Each consumes its reader in a single pass, so
 // materializing the payload first (io.ReadAll) and re-wrapping it in a
 // bytes/strings reader defeats the pipeline: the whole document sits
-// in memory anyway, plus the copy, while the []byte forms (Open,
-// OpenDocument, LoadDocument) exist precisely for already-resident
-// payloads.
+// in memory anyway, plus the copy, while the []byte forms
+// (Opener.Open, Library.OpenDocument, Engine.LoadDocument) exist
+// precisely for already-resident payloads.
 var readerFirstEntries = []readerFirstEntry{
 	{FuncRef{Pkg: pkgCore, Recv: "Opener", Name: "OpenReader"}, 1},
 	{FuncRef{Pkg: pkgCore, Recv: "Opener", Name: "VerifyDetachedReader"}, 1},

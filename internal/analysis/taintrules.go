@@ -50,11 +50,10 @@ var taintSanitizers = []FuncRef{
 	{Pkg: pkgXMLDSig, Name: "VerifyDocument"},
 	{Pkg: pkgCore, Recv: "Opener", Name: "Open"},
 	{Pkg: pkgCore, Recv: "Opener", Name: "OpenReader"},
-	{Pkg: pkgCore, Recv: "Opener", Name: "OpenDocument"},
 	{Pkg: pkgCore, Recv: "Opener", Name: "VerifyDetached"},
 	{Pkg: pkgCore, Recv: "Opener", Name: "VerifyDetachedReader"},
 	// The shared verification library: a cache hit is only ever a
-	// previously verified verdict (fills run core.Opener.OpenDocument;
+	// previously verified verdict (fills run core.Opener.Open;
 	// unsigned documents bypass the cache but still went through the
 	// opener), so its serving entry points sanitize like core.Open*.
 	{Pkg: pkgLibrary, Recv: "Library", Name: "OpenDocument"},

@@ -21,7 +21,7 @@ func unchecked(ctx context.Context, op *core.Opener, raw []byte) int {
 // The error is discarded outright, so no path can ever be guarded.
 func discarded(ctx context.Context, op *core.Opener, raw []byte) bool {
 	res, _ := op.Open(ctx, raw)
-	return res.Doc != nil // want errdominate
+	return res.Cluster != nil // want errdominate
 }
 
 // Consulted on the failure path: exactly the wrapping-attack regression.
@@ -46,7 +46,7 @@ func staleCheck(ctx context.Context, op *core.Opener, raw, other []byte) int {
 // Short-circuit order matters: the left operand runs before the check.
 func wrongOrder(ctx context.Context, op *core.Opener, raw []byte) bool {
 	res, err := op.Open(ctx, raw)
-	if res.Doc != nil && err == nil { // want errdominate
+	if res.Cluster != nil && err == nil { // want errdominate
 		return true
 	}
 	return false
@@ -97,7 +97,7 @@ func namedReturn(ctx context.Context, op *core.Opener, raw []byte) (res *core.Op
 // touched once err == nil held.
 func rightOrder(ctx context.Context, op *core.Opener, raw []byte) bool {
 	res, err := op.Open(ctx, raw)
-	if err == nil && res.Doc != nil {
+	if err == nil && res.Cluster != nil {
 		return true
 	}
 	return false

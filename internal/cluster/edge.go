@@ -86,7 +86,11 @@ func WithEdgeHealth(m *health.Monitor) EdgeOption {
 }
 
 // WithEdgeClient sets the inter-node HTTP client. It must carry a
-// Timeout so a dead peer hits the retry path instead of hanging.
+// Timeout so a dead peer hits the retry path instead of hanging. The
+// Timeout bounds every exchange but Pull's: a Pull streams the origin's
+// whole verdict set, so it runs without the Timeout. The Transport's
+// ResponseHeaderTimeout (5 s in the default client) bounds its wait for
+// response headers, and Pull's ctx its body.
 func WithEdgeClient(c *http.Client) EdgeOption {
 	return func(e *Edge) {
 		if c != nil {
@@ -125,6 +129,15 @@ func WithEdgeMaxBody(n int64) EdgeOption {
 	}
 }
 
+// edgeTransport is the default client's transport, shared by every
+// edge like http.DefaultTransport: a Pull, which runs without the
+// client's Timeout, still fails on a peer that sends no headers.
+var edgeTransport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.ResponseHeaderTimeout = 5 * time.Second
+	return t
+}()
+
 // NewEdge builds an edge named name, advertising selfURL to peers and
 // filling from the origin base URL.
 func NewEdge(name, selfURL, origin string, opts ...EdgeOption) *Edge {
@@ -132,7 +145,7 @@ func NewEdge(name, selfURL, origin string, opts ...EdgeOption) *Edge {
 		name:    name,
 		selfURL: selfURL,
 		origin:  origin,
-		client:  &http.Client{Timeout: 5 * time.Second},
+		client:  &http.Client{Timeout: 5 * time.Second, Transport: edgeTransport},
 		maxBody: 16 << 20,
 		records: lru.New[string, Record](recordBudget),
 		peers:   make(map[string]string),
@@ -261,7 +274,9 @@ func (e *Edge) Join(ctx context.Context) error {
 // Pull replicates the origin's resident verdict set into the edge's
 // cache (bootstrap for a cold or rejoining edge), returning how many of
 // the pulled records are resident when it returns: a set bigger than
-// the store passes through admission like any other flood.
+// the store passes through admission like any other flood. The set
+// streams for as long as ctx allows; only the wait for its headers is
+// bounded by the client (WithEdgeClient).
 func (e *Edge) Pull(ctx context.Context) (int, error) {
 	ctx, rec := e.obsContext(ctx)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, e.origin+PathVerdicts, nil)
@@ -269,7 +284,10 @@ func (e *Edge) Pull(ctx context.Context) (int, error) {
 		return 0, err
 	}
 	req.Header.Set(HeaderEdge, e.name)
-	resp, err := e.client.Do(req)
+	// The client's Timeout would cut a large set off mid-stream.
+	client := *e.client
+	client.Timeout = 0
+	resp, err := client.Do(req)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: pull: %w", err)
 	}

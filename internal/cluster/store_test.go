@@ -119,10 +119,9 @@ func TestPullCountsResidentRecords(t *testing.T) {
 	}))
 	defer srv.Close()
 	rec := obs.NewRecorder()
-	// No client timeout: under -race the pull takes longer than the
-	// default one allows.
-	e := cluster.NewEdge("edge-0", "http://self.invalid", srv.URL,
-		cluster.WithEdgeRecorder(rec), cluster.WithEdgeClient(&http.Client{}))
+	// The default client: under -race the pull outlasts its 5 s
+	// Timeout, which a Pull does not apply.
+	e := cluster.NewEdge("edge-0", "http://self.invalid", srv.URL, cluster.WithEdgeRecorder(rec))
 	n, err := e.Pull(context.Background())
 	if err != nil {
 		t.Fatal(err)

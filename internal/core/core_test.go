@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -204,13 +205,15 @@ func TestSignThenEncryptEndToEnd(t *testing.T) {
 	if res.OpenedAfterVerify != 1 {
 		t.Errorf("opened after verify = %d, want 1", res.OpenedAfterVerify)
 	}
-	script, _ := res.Doc.Root().Find("//manifest/code/script")
-	if script == nil || script.Text() != "var hs = 9000;" {
-		t.Errorf("script not recovered: %v", script)
+	app := res.Cluster.FindTrack("t-app")
+	if app == nil || app.Manifest == nil {
+		t.Fatal("application track not recovered")
 	}
-	layout, _ := res.Doc.Root().Find("//manifest/markup/submarkup")
-	if layout == nil {
-		t.Error("markup not recovered")
+	if scripts := app.Manifest.Code.Scripts; len(scripts) != 1 || scripts[0].Source != "var hs = 9000;" {
+		t.Errorf("script not recovered: %+v", scripts)
+	}
+	if subs := app.Manifest.Markup.SubMarkups; len(subs) != 1 || subs[0].Content == nil {
+		t.Errorf("markup not recovered: %+v", subs)
 	}
 }
 
@@ -467,8 +470,8 @@ func TestOpenReaderMatchesOpen(t *testing.T) {
 					t.Errorf("signature %d fingerprint diverges", i)
 				}
 			}
-			if !bytes.Equal(byteRes.Doc.Bytes(), streamRes.Doc.Bytes()) {
-				t.Error("verified documents diverge between entries")
+			if !reflect.DeepEqual(byteRes.Cluster, streamRes.Cluster) {
+				t.Error("decoded models diverge between entries")
 			}
 		})
 	}

@@ -66,10 +66,11 @@ type SignatureReport struct {
 
 // OpenResult is the outcome of processing a protected document.
 type OpenResult struct {
-	// Doc is the fully decrypted, verified document; the caller of
-	// Open* owns it. It is nil in library verdicts and player sessions,
-	// which keep only the decoded model.
-	Doc *xmldom.Document
+	// Cluster is the content hierarchy decoded from the verified,
+	// fully decrypted document. It shares no memory with the tree,
+	// which Open* release before they return: no caller of core ever
+	// holds a verified tree, only what was decoded from one.
+	Cluster *disc.InteractiveCluster
 	// Signatures reports each validated signature.
 	Signatures []SignatureReport
 	// OpenedAfterVerify counts excepted regions decrypted after
@@ -89,19 +90,6 @@ func KeyFingerprint(pub crypto.PublicKey) string {
 	return xmldsig.KeyFingerprint(pub)
 }
 
-// OpenOption configures one OpenReader call.
-type OpenOption func(*openConfig)
-
-type openConfig struct {
-	parse xmldom.ParseOptions
-}
-
-// WithParseOptions overrides the streaming parser's security limits
-// (depth, token count, doctype policy) for one open.
-func WithParseOptions(po xmldom.ParseOptions) OpenOption {
-	return func(c *openConfig) { c.parse = po }
-}
-
 // OpenReader processes a protected cluster/manifest document streamed
 // from r end-to-end:
 //
@@ -110,39 +98,59 @@ func WithParseOptions(po xmldom.ParseOptions) OpenOption {
 //  2. Verify every signature; any failure aborts.
 //  3. Decrypt remaining (excepted) regions so the application is
 //     executable.
+//  4. Decode the content hierarchy (disc.ParseCluster); a document
+//     that is not a cluster fails the open.
 //
 // The document is tokenized in a single hardened streaming pass
 // (internal/xmlstream); r is read exactly once and never buffered
-// whole. The context carries cancellation intent and the obs.Recorder
-// that receives per-stage spans (parse, dectrans, digest, signature,
+// whole. The tree is released on every path before OpenReader returns.
+// The context carries cancellation intent and the obs.Recorder that
+// receives per-stage spans (parse, dectrans, digest, signature,
 // decrypt) and security-audit events.
-func (o *Opener) OpenReader(ctx context.Context, r io.Reader, opts ...OpenOption) (*OpenResult, error) {
-	var cfg openConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	rec := obs.FromContext(ctx)
-	sp := rec.Start(obs.StageParse)
-	doc, err := xmldom.ParseWithOptions(r, cfg.parse)
+func (o *Opener) OpenReader(ctx context.Context, r io.Reader) (*OpenResult, error) {
+	sp := obs.FromContext(ctx).Start(obs.StageParse)
+	doc, err := xmldom.Parse(r)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: parse: %w", err)
 	}
-	return o.OpenDocument(ctx, doc)
+	return o.openDocument(ctx, doc)
 }
 
-// Open is OpenReader over an in-memory document.
+// Open is OpenReader over an in-memory document, which it scans in
+// place.
 func (o *Opener) Open(ctx context.Context, docBytes []byte) (*OpenResult, error) {
-	return o.OpenReader(ctx, bytes.NewReader(docBytes))
+	sp := obs.FromContext(ctx).Start(obs.StageParse)
+	doc, err := xmldom.ParseBytes(docBytes)
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("core: parse: %w", err)
+	}
+	return o.openDocument(ctx, doc)
 }
 
-// OpenDocument is Open over an already-parsed document (which it
-// mutates).
-func (o *Opener) OpenDocument(ctx context.Context, doc *xmldom.Document) (*OpenResult, error) {
+// openDocument runs the Fig. 9 phases over doc (which it mutates),
+// decodes the model once they all passed, and releases doc on every
+// path.
+func (o *Opener) openDocument(ctx context.Context, doc *xmldom.Document) (*OpenResult, error) {
+	defer doc.Release()
+	res, err := o.verifyAndDecrypt(ctx, doc)
+	if err != nil {
+		return nil, err
+	}
+	// A verified document that is not a cluster: no AuditVerifyFailed.
+	if res.Cluster, err = disc.ParseCluster(doc); err != nil {
+		return nil, fmt.Errorf("core: decode cluster: %w", err)
+	}
+	return res, nil
+}
+
+// verifyAndDecrypt runs phases 1 to 3 over doc in the Fig. 9 order.
+func (o *Opener) verifyAndDecrypt(ctx context.Context, doc *xmldom.Document) (*OpenResult, error) {
 	rec := obs.FromContext(ctx)
 	dec := o.Decrypt
 	dec.Recorder = rec
-	res := &OpenResult{Doc: doc}
+	res := &OpenResult{}
 
 	var sigBuf [4]*xmldom.Element
 	sigs := xmldsig.AppendSignatures(sigBuf[:0], doc)
@@ -234,6 +242,8 @@ func (o *Opener) verifyDetachedReader(ctx context.Context, r io.Reader, resolver
 	if err != nil {
 		return nil, fmt.Errorf("core: parse detached signature: %w", err)
 	}
+	// The report copies what it keeps out of the tree.
+	defer doc.Release()
 	sig := xmldsig.FindSignature(doc)
 	if sig == nil {
 		return nil, xmldsig.ErrNoSignature

@@ -1,7 +1,6 @@
 package disc_test
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,10 +8,12 @@ import (
 	"testing"
 
 	"discsec/internal/core"
+	"discsec/internal/dectrans"
 	"discsec/internal/disc"
 	"discsec/internal/experiments"
 	"discsec/internal/workload"
 	"discsec/internal/xmldom"
+	"discsec/internal/xmldsig"
 	"discsec/internal/xmlenc"
 	"discsec/internal/xmlsecuri"
 )
@@ -73,12 +74,14 @@ func crafted() map[string]string {
 	}
 }
 
-// verifiedCorpus opens signed, partially encrypted clusters the way the
-// library and the player do, returning the verified documents.
+// verifiedCorpus verifies signed, partially encrypted clusters in
+// core's Fig. 9 order — decryption transform, signature verification,
+// excepted regions opened — and returns the verified documents, which
+// core.Open only ever decodes and releases.
 func verifiedCorpus(t *testing.T) map[string]*xmldom.Document {
 	t.Helper()
 	root, creator := experiments.PKIFixture()
-	opener := core.Opener{Roots: root.Pool(), Decrypt: xmlenc.DecryptOptions{Key: experiments.EncKey}, RequireSignature: true}
+	dec := xmlenc.DecryptOptions{Key: experiments.EncKey}
 	out := map[string]*xmldom.Document{}
 	for _, stmts := range []int{5, 60} {
 		cl, clips := workload.Cluster(workload.ClusterSpec{
@@ -104,11 +107,28 @@ func verifiedCorpus(t *testing.T) map[string]*xmldom.Document {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := opener.Open(context.Background(), raw)
+			doc, err := xmldom.ParseBytes(raw)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[fmt.Sprintf("verified-%s-stmts=%d", level, stmts)] = res.Doc
+			sigs := xmldsig.AppendSignatures(nil, doc)
+			if len(sigs) == 0 {
+				t.Fatal("packaged cluster carries no signature")
+			}
+			for _, sig := range sigs {
+				if _, err := dectrans.ProcessSignature(doc, sig, dec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, sig := range sigs {
+				if _, err := xmldsig.Verify(doc, sig, xmldsig.VerifyOptions{Roots: root.Pool()}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := xmlenc.DecryptAll(doc, dec); err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("verified-%s-stmts=%d", level, stmts)] = doc
 		}
 	}
 	return out

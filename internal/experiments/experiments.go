@@ -239,14 +239,24 @@ func ParsedSignedAtLevel(t GranularityTarget) (*xmldom.Document, error) {
 	return xmldom.ParseBytes(raw)
 }
 
-// VerifyOnly validates the signatures of a pre-parsed document,
-// excluding parse time. The document carries no encrypted regions, so
-// repeated calls observe identical state.
+// VerifyOnly validates every signature of a pre-parsed document
+// against the fixture roots: signature verification alone, without
+// parse time, the decryption passes or the model decode. Verification
+// does not modify the document, so repeated calls observe identical
+// state.
 func VerifyOnly(doc *xmldom.Document) error {
 	root, _ := PKIFixture()
-	opener := &core.Opener{Roots: root.Pool(), RequireSignature: true}
-	_, err := opener.OpenDocument(context.Background(), doc)
-	return err
+	var buf [4]*xmldom.Element
+	sigs := xmldsig.AppendSignatures(buf[:0], doc)
+	if len(sigs) == 0 {
+		return xmldsig.ErrNoSignature
+	}
+	for _, sig := range sigs {
+		if _, err := xmldsig.Verify(doc, sig, xmldsig.VerifyOptions{Roots: root.Pool()}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // VerifySigned verifies a document produced by SignAtLevel.

@@ -15,29 +15,8 @@ import (
 	"discsec/internal/c14n"
 	"discsec/internal/memo"
 	"discsec/internal/obs"
-	"discsec/internal/xmldom"
 	"discsec/internal/xmlstream"
 )
-
-// CanonicalKey derives the content-addressed cache key: the hex SHA-256
-// of the document's exclusive-C14N form. Canonicalizing before hashing
-// is what makes the key wrapping-proof: two serializations of the same
-// infoset key identically, while any structural change an attacker
-// needs for a wrapping substitution (relocated signed subtree, injected
-// sibling) changes the canonical octets and misses the cache.
-//
-// The key is computed over the document as stored (signatures and
-// EncryptedData in place), before any verification mutates it.
-// KeyBytes computes the same function straight from the document's
-// bytes, without a tree.
-func CanonicalKey(doc *xmldom.Document, rec *obs.Recorder) (string, error) {
-	octets, err := c14n.CanonicalizeDocument(doc, c14n.Options{Exclusive: true, Recorder: rec})
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(octets)
-	return hex.EncodeToString(sum[:]), nil
-}
 
 // Front is one document read through the key front: the bytes as read
 // and the cache key derived from them. Every serving form opens through
@@ -47,7 +26,7 @@ func CanonicalKey(doc *xmldom.Document, rec *obs.Recorder) (string, error) {
 // canonicalizer and SHA-256), and builds no tree; only a miss parses
 // Raw into the DOM verification needs.
 type Front struct {
-	// Key is the hex exclusive-C14N digest of Raw (CanonicalKey's
+	// Key is the hex exclusive-C14N digest of Raw (KeyBytes'
 	// function).
 	Key string
 	// Raw is the document. It lives in a pooled buffer and is valid
@@ -123,9 +102,16 @@ func putFrontBuf(buf *bytes.Buffer) {
 	}
 }
 
-// KeyBytes derives the cache key of a resident document in one
+// KeyBytes derives the content-addressed cache key of a resident
+// document: the hex SHA-256 of its exclusive-C14N form, in one
 // tokenization — scanner, incremental exclusive C14N, SHA-256 — with no
-// tree. It is byte-identical to CanonicalKey over the parsed document.
+// tree. Canonicalizing before hashing is what makes the key
+// wrapping-proof: two serializations of the same infoset key
+// identically, while any structural change an attacker needs for a
+// wrapping substitution (relocated signed subtree, injected sibling)
+// changes the canonical octets and misses the cache. The key covers the
+// document as stored (signatures and EncryptedData in place), before
+// any verification mutates it.
 func KeyBytes(rec *obs.Recorder, raw []byte) (string, error) {
 	sp := rec.Start(obs.StageParse)
 	defer sp.End()
@@ -231,11 +217,4 @@ func canonicalPass(rec *obs.Recorder, raw []byte) (string, error) {
 	}
 	var sum [sha256.Size]byte
 	return hex.EncodeToString(h.Sum(sum[:0])), nil
-}
-
-// parseDoc is a fill's private DOM parse of the document bytes.
-func parseDoc(rec *obs.Recorder, raw []byte) (*xmldom.Document, error) {
-	sp := rec.Start(obs.StageParse)
-	defer sp.End()
-	return xmldom.ParseBytes(raw)
 }

@@ -103,8 +103,8 @@ var (
 )
 
 // Verdict is one fully verified, immutable cache entry: the decoded
-// content hierarchy and the security report. The verified tree is
-// dropped once the model is decoded (Result.Doc is nil), so a resident
+// content hierarchy and the security report. A fill never sees the
+// verified tree (core releases it before Open returns), so a resident
 // verdict keeps no more heap than it is charged against the byte
 // budget. Verdicts are shared read-only across sessions — callers must
 // not mutate Cluster (clone first).
@@ -446,13 +446,12 @@ func (l *Library) signerEpochOf(fp string) *atomic.Uint64 {
 // so the warm lookup path never builds a closure.
 func newEpoch() *atomic.Uint64 { return new(atomic.Uint64) }
 
-// fill runs the real verification of raw and caches the verdict. Each
-// attempt parses raw into a private tree (verification mutates it) and
-// releases the tree once the model is decoded. It
-// captures the invalidation generation first and retries (bounded)
-// whenever an invalidation landed while verifying, so a revocation can
-// never race a fill into caching a stale verdict: the retry re-parses
-// and re-resolves keys, and a now-revoked signer fails verification.
+// fill runs the real verification of raw (core.Opener.Open, which
+// keeps no tree) and caches the verdict. It captures the invalidation
+// generation first and retries (bounded) whenever an invalidation
+// landed while verifying, so a revocation can never race a fill into
+// caching a stale verdict: the retry re-parses and re-resolves keys,
+// and a now-revoked signer fails verification.
 //
 //discvet:coldpath a miss runs the full Fig. 9 verification; allocation is inherent
 func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, raw []byte, resolver *disc.Image) (*Verdict, error) {
@@ -472,13 +471,8 @@ func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, raw [
 		}
 		gen := l.invalGen.Load()
 
-		doc, err := parseDoc(rec, raw)
+		res, err := op.Open(ctx, raw)
 		if err != nil {
-			return nil, fmt.Errorf("library: parse: %w", err)
-		}
-		res, err := op.OpenDocument(ctx, doc)
-		if err != nil {
-			doc.Release()
 			if errors.Is(err, resilience.ErrCircuitOpen) {
 				// The trust service's breaker is open: nothing can be
 				// verified fresh right now, so the fill fails closed with
@@ -489,15 +483,6 @@ func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, raw [
 			}
 			return nil, fmt.Errorf("library: verification: %w", err)
 		}
-		cluster, err := disc.ParseCluster(doc)
-		// The model shares nothing with the tree; holding the tree would
-		// keep heap the byte budget does not charge, so its nodes go back
-		// to the parse pool now, before a retry re-parses.
-		doc.Release()
-		res.Doc = nil
-		if err != nil {
-			return nil, fmt.Errorf("library: decode cluster: %w", err)
-		}
 		// Probe degradation after verification: that is when the trust
 		// client knows whether it answered from live service or stale
 		// cache. A verdict filled on stale revocation data is tainted
@@ -505,7 +490,7 @@ func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, raw [
 		degradedFill := l.degraded != nil && l.degraded()
 
 		v := &Verdict{
-			Cluster:     cluster,
+			Cluster:     res.Cluster,
 			Result:      res,
 			Key:         key,
 			Fingerprint: primaryFingerprint(res),

@@ -199,9 +199,11 @@ func TestUnsignedDocumentBypassesCache(t *testing.T) {
 	}
 }
 
-// TestVerdictsHoldNoTree: no verdict keeps the verified tree alive —
-// not a filled one, not the same one served as a hit, and not an
-// uncached unsigned one.
+// TestVerdictsHoldNoTree: no verdict can keep the verified tree alive,
+// since neither Verdict nor core.OpenResult has a field for one; every
+// verdict — a filled one, the same one served as a hit, an uncached
+// unsigned one — carries the decoded model instead, the one core.Open
+// returned.
 func TestVerdictsHoldNoTree(t *testing.T) {
 	ctx := context.Background()
 	op := testOpener()
@@ -221,11 +223,8 @@ func TestVerdictsHoldNoTree(t *testing.T) {
 		if err != nil || st != tc.want {
 			t.Fatalf("status = %q err = %v, want %q", st, err, tc.want)
 		}
-		if v.Result.Doc != nil {
-			t.Errorf("%s verdict pins the verified tree", st)
-		}
-		if v.Cluster == nil {
-			t.Errorf("%s verdict has no model", st)
+		if v.Cluster == nil || v.Cluster != v.Result.Cluster {
+			t.Errorf("%s verdict has no model, or not the opened one", st)
 		}
 	}
 }
@@ -548,7 +547,7 @@ func TestDegradedTrustServing(t *testing.T) {
 func TestCanonicalKeyIgnoresSerializationChangesKeyDetectsStructural(t *testing.T) {
 	cluster, _ := workload.Cluster(workload.ClusterSpec{AppTracks: 1, Seed: 17})
 	doc := cluster.Document()
-	k1, err := library.CanonicalKey(doc, nil)
+	k1, err := canonicalKey(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +556,7 @@ func TestCanonicalKeyIgnoresSerializationChangesKeyDetectsStructural(t *testing.
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, err := library.CanonicalKey(reparsed, nil)
+	k2, err := canonicalKey(reparsed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +566,7 @@ func TestCanonicalKeyIgnoresSerializationChangesKeyDetectsStructural(t *testing.
 	// A wrapping-style structural change — injecting a sibling the
 	// engine would read — must change the key.
 	doc.Root().CreateChild("track").SetAttr("Id", "t-wrapped")
-	k3, err := library.CanonicalKey(doc, nil)
+	k3, err := canonicalKey(doc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,17 +146,7 @@ func (e *Engine) loadFrom(ctx context.Context, rec *obs.Recorder, r io.Reader) (
 	if err != nil {
 		return nil, fmt.Errorf("player: security processing: %w", err)
 	}
-	doc := res.Doc
-	cluster, err := disc.ParseCluster(doc)
-	// The session runs the model, not the tree; like a library verdict,
-	// it does not keep the tree alive, and hands its nodes back to the
-	// parse pool.
-	doc.Release()
-	res.Doc = nil
-	if err != nil {
-		return nil, fmt.Errorf("player: decode cluster: %w", err)
-	}
-	return &Session{Cluster: cluster, OpenResult: res, engine: e, rec: rec}, nil
+	return &Session{Cluster: res.Cluster, OpenResult: res, engine: e, rec: rec}, nil
 }
 
 // Verified reports whether the session's content passed signature

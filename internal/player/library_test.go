@@ -91,9 +91,10 @@ func TestEngineLibraryFailsClosed(t *testing.T) {
 	}
 }
 
-// TestSessionsHoldNoTree: no session keeps the verified tree alive,
+// TestSessionsHoldNoTree: no session can keep the verified tree alive,
+// since neither Session nor core.OpenResult has a field for one;
 // whether it was built from a library verdict (miss or hit) or verified
-// by the engine itself; it runs the decoded model.
+// by the engine itself, it runs the decoded model.
 func TestSessionsHoldNoTree(t *testing.T) {
 	im := buildImage(t, true)
 	lib := library.New(library.WithOpener(core.Opener{
@@ -112,8 +113,8 @@ func TestSessionsHoldNoTree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: load: %v", tc.name, err)
 		}
-		if sess.OpenResult.Doc != nil {
-			t.Errorf("%s: session pins the verified tree", tc.name)
+		if sess.Cluster != sess.OpenResult.Cluster {
+			t.Errorf("%s: session runs another model than the one opened", tc.name)
 		}
 		if sess.Cluster.FindTrack("t-game") == nil {
 			t.Errorf("%s: session model lost its application track", tc.name)
