@@ -1,7 +1,8 @@
 #!/bin/sh
-# CI gate: every PR must build cleanly, pass go vet and the discvet
-# static-analysis suite (see internal/analysis), and pass the full
-# test suite under the race detector. The SARIF report — which since
+# CI gate: every PR must build cleanly, be gofmt-clean (make lint),
+# pass go vet and the discvet static-analysis suite (see
+# internal/analysis), and pass the full test suite under the race
+# detector. The SARIF report — which since
 # discvet v4 carries the SSA-lite value-flow rules (poolescape,
 # errdominate, onceonly) on top of the v3 interprocedural concurrency
 # rules (lockorder, goroutineleak), the hot-path allocation rule
@@ -15,8 +16,8 @@ make lint
 make lint-baseline
 
 # Full-module self-analysis with SARIF, wall-clock-guarded: the
-# interprocedural fixpoints (taint, locksets, call graph) must stay
-# interactive. 60s is ~10x current cost; breaching it means an
+# interprocedural summaries (taint, locksets, value flow), solved
+# bottom-up over the call graph, must stay interactive. 60s is ~10x current cost; breaching it means an
 # analyzer regressed to something super-linear.
 lint_start=$(date +%s)
 make vet-bench

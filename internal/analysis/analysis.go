@@ -42,7 +42,8 @@
 //     must emit an obs audit event before returning, so the audit ring
 //     records every security refusal.
 //   - lockorder: interprocedural deadlock analysis — per-function
-//     lockset summaries to a fixpoint, a module-wide
+//     lockset summaries solved bottom-up over the call graph (once per
+//     run, shared with locksafety), a module-wide
 //     lock-acquisition-order graph whose cycles are potential
 //     deadlocks, and no indefinite wait (channel op, blocking sink)
 //     while a mutex is held (locksets.go, lockorder.go).

@@ -6,6 +6,7 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // EdgeKind classifies how a call-graph edge was discovered.
@@ -84,10 +85,23 @@ type CallGraph struct {
 	// analyzed packages.
 	Funcs map[*types.Func]*FuncNode
 
-	// flowSummaryCache lazily holds the v4 value-flow summaries
-	// (flow.go); module analyzers running in parallel share one
-	// fixpoint through it.
-	flowSummaryCache
+	// The summaries module analyzers share, each solved once per graph
+	// on first use: module analyzers run in parallel, so each sits
+	// behind a sync.Once.
+	flowOnce      sync.Once
+	flowSummaries map[*types.Func]*flowSummary // value flow (flow.go)
+	lockOnce      sync.Once
+	locks         *lockSets // locksets (locksets.go)
+}
+
+// sortedFuncNodes returns the call graph's nodes in declaration order.
+func sortedFuncNodes(g *CallGraph) []*FuncNode {
+	nodes := make([]*FuncNode, 0, len(g.Funcs))
+	for _, n := range g.Funcs {
+		nodes = append(nodes, n)
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Decl.Pos() < nodes[j].Decl.Pos() })
+	return nodes
 }
 
 // Lookup finds the node for the named function: pkgPath is the import

@@ -127,8 +127,15 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			return nil, err
 		}
 	}
-	var pkgs []*Package
+	// Parse in a fixed order: LoadDir parses into the shared FileSet, so
+	// the order fixes every token position and every Decl.Pos sort.
+	sorted := make([]string, 0, len(dirs))
 	for dir := range dirs {
+		sorted = append(sorted, dir)
+	}
+	sort.Strings(sorted)
+	var pkgs []*Package
+	for _, dir := range sorted {
 		rel, err := filepath.Rel(l.Root, dir)
 		if err != nil {
 			return nil, err

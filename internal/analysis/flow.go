@@ -23,19 +23,18 @@ package analysis
 //     holds the same definition it had when the register was bound
 //     (vers), the renaming half of SSA.
 //
-// Interprocedural power rides the PR 4 call graph: flowSummaries
-// computes, to a least fixpoint, which effective parameters a function
-// releases into a pool, which reader parameters it consumes, and
-// whether it returns pool-owned values — so `putParser(p)` releases p
-// at the call site and `lib.OpenReader(ctx, r)` consumes r without
-// either rule knowing those functions by name.
+// Interprocedural power rides the module call graph: flowSums solves,
+// bottom-up with the shared summary solver (solve.go), which effective
+// parameters a function releases into a pool, which reader parameters
+// it consumes, and whether it returns pool-owned values — so
+// `putParser(p)` releases p at the call site and `lib.OpenReader(ctx,
+// r)` consumes r without either rule knowing those functions by name.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
-	"sync"
 )
 
 // vreg indexes the per-function register table.
@@ -349,16 +348,6 @@ func runFlowModule(pass *ModulePass, rule flowRule, init func(*flowAnalysis, *Fu
 	}
 }
 
-// sortedFuncNodes returns the call graph's nodes in declaration order.
-func sortedFuncNodes(g *CallGraph) []*FuncNode {
-	nodes := make([]*FuncNode, 0, len(g.Funcs))
-	for _, n := range g.Funcs {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Decl.Pos() < nodes[j].Decl.Pos() })
-	return nodes
-}
-
 // effectiveArgs returns the call's arguments with a method-value
 // receiver prepended, aligning argument indexes with funcParams (the
 // same convention the taint engine uses).
@@ -402,33 +391,15 @@ type flowSummary struct {
 	returnsPooled bool
 }
 
-// flowSums lazily computes and caches the summaries on the call graph,
-// so parallel module analyzers share one fixpoint.
+// flowSums solves the summaries (solve.go) on first use and caches them
+// on the call graph, so parallel module analyzers share one solve.
 func (g *CallGraph) flowSums() map[*types.Func]*flowSummary {
 	g.flowOnce.Do(func() {
-		g.flowSummaries = computeFlowSummaries(g)
+		sums := map[*types.Func]*flowSummary{}
+		solveBottomUp(g, sums, func(n *FuncNode) flowSummary { return scanFlowSummary(n, sums) }, eq[flowSummary])
+		g.flowSummaries = sums
 	})
 	return g.flowSummaries
-}
-
-func computeFlowSummaries(g *CallGraph) map[*types.Func]*flowSummary {
-	sums := map[*types.Func]*flowSummary{}
-	for fn := range g.Funcs {
-		sums[fn] = &flowSummary{}
-	}
-	nodes := sortedFuncNodes(g)
-	for changed := true; changed; {
-		changed = false
-		for _, n := range nodes {
-			got := scanFlowSummary(n, sums)
-			cur := sums[n.Fn]
-			if got != *cur {
-				*cur = got
-				changed = true
-			}
-		}
-	}
-	return sums
 }
 
 // scanFlowSummary recomputes one function's summary under the current
@@ -591,17 +562,12 @@ func scanFlowSummary(n *FuncNode, sums map[*types.Func]*flowSummary) flowSummary
 	return out
 }
 
+// summaryBit is parameter i's bit in a summary mask (flow and taint
+// alike), saturating at bit 61: the top bits are left for flags such
+// as taintSrc.
 func summaryBit(i int) uint64 {
 	if i > 61 {
 		i = 61
 	}
 	return 1 << uint(i)
-}
-
-// flowOnce/flowSummaries live on CallGraph so every v4 rule — possibly
-// running concurrently under the parallel driver — shares one
-// summary fixpoint per Run.
-type flowSummaryCache struct {
-	flowOnce      sync.Once
-	flowSummaries map[*types.Func]*flowSummary
 }

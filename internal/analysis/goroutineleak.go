@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // GoroutineLeak flags `go` statements whose spawned function has no
@@ -40,13 +39,7 @@ var GoroutineLeak = &Analyzer{
 }
 
 func runGoroutineLeak(pass *ModulePass) {
-	nodes := make([]*FuncNode, 0, len(pass.Graph.Funcs))
-	for _, n := range pass.Graph.Funcs {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Decl.Pos() < nodes[j].Decl.Pos() })
-
-	for _, n := range nodes {
+	for _, n := range sortedFuncNodes(pass.Graph) {
 		info := n.Pkg.Info
 		spawnerWaits := containsWaitGroupWait(info, n.Decl.Body)
 		closed := channelsClosedIn(info, n.Decl.Body)

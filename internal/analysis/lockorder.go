@@ -40,7 +40,7 @@ type orderEdge struct {
 }
 
 func runLockOrder(pass *ModulePass) {
-	eng := newLockEngine(pass)
+	ls := pass.Graph.lockSets()
 
 	edges := map[[2]*types.Var]*orderEdge{}
 	addEdge := func(from, to *types.Var, pos token.Pos, in string) {
@@ -53,7 +53,7 @@ func runLockOrder(pass *ModulePass) {
 		}
 	}
 
-	w := &lockWalker{eng: eng}
+	w := &lockWalker{}
 	w.onAcquire = func(held []*heldLock, taken *heldLock) {
 		for _, h := range held {
 			if h.key == taken.key {
@@ -72,12 +72,11 @@ func runLockOrder(pass *ModulePass) {
 			heldNames(held), what)
 	}
 	w.onCall = func(held []*heldLock, callee *types.Func, pos token.Pos) {
-		node, ok := eng.mp.Graph.Funcs[callee]
+		sum, ok := ls.sums[callee]
 		if !ok {
 			return
 		}
-		sum := eng.sums[node.Fn]
-		for _, v := range sortedLockVars(sum.acquired, eng.names) {
+		for _, v := range sortedLockVars(sum.acquired, ls.names) {
 			for _, h := range held {
 				addEdge(h.v, v, pos, funcDisplayName(w.fn.Fn))
 			}
@@ -89,9 +88,9 @@ func runLockOrder(pass *ModulePass) {
 				heldNames(held), funcDisplayName(callee), sum.blocks)
 		}
 	}
-	w.walkModule()
+	w.walkModule(pass.Graph)
 
-	reportLockCycles(pass, eng, edges)
+	reportLockCycles(pass, ls.names, edges)
 }
 
 // heldNames renders the held set for a diagnostic.
@@ -105,7 +104,7 @@ func heldNames(held []*heldLock) string {
 
 // sortedLockVars orders a lock set by display name for deterministic
 // edge insertion.
-func sortedLockVars(set map[*types.Var]token.Pos, names map[*types.Var]string) []*types.Var {
+func sortedLockVars(set map[*types.Var]bool, names map[*types.Var]string) []*types.Var {
 	out := make([]*types.Var, 0, len(set))
 	for v := range set {
 		out = append(out, v)
@@ -122,7 +121,7 @@ func sortedLockVars(set map[*types.Var]token.Pos, names map[*types.Var]string) [
 // reportLockCycles finds strongly connected components of the order
 // graph and reports one diagnostic per cyclic component, tracing a
 // concrete loop through it.
-func reportLockCycles(pass *ModulePass, eng *lockEngine, edges map[[2]*types.Var]*orderEdge) {
+func reportLockCycles(pass *ModulePass, names map[*types.Var]string, edges map[[2]*types.Var]*orderEdge) {
 	succ := map[*types.Var][]*types.Var{}
 	var nodes []*types.Var
 	seen := map[*types.Var]bool{}
@@ -135,14 +134,14 @@ func reportLockCycles(pass *ModulePass, eng *lockEngine, edges map[[2]*types.Var
 		}
 		succ[k[0]] = append(succ[k[0]], k[1])
 	}
-	name := func(v *types.Var) string { return eng.names[v] }
+	name := func(v *types.Var) string { return names[v] }
 	sort.Slice(nodes, func(i, j int) bool { return name(nodes[i]) < name(nodes[j]) })
 	for _, v := range nodes {
 		s := succ[v]
 		sort.Slice(s, func(i, j int) bool { return name(s[i]) < name(s[j]) })
 	}
 
-	for _, scc := range stronglyConnected(nodes, succ) {
+	for _, scc := range stronglyConnected(nodes, func(v *types.Var) []*types.Var { return succ[v] }) {
 		if len(scc) < 2 {
 			continue
 		}
@@ -169,7 +168,7 @@ func reportLockCycles(pass *ModulePass, eng *lockEngine, edges map[[2]*types.Var
 			}
 			if at, ok := index[next]; ok {
 				loop := append(append([]*types.Var{}, path[at:]...), next)
-				reportOneCycle(pass, eng, edges, loop)
+				reportOneCycle(pass, names, edges, loop)
 				break
 			}
 			index[next] = len(path)
@@ -178,70 +177,19 @@ func reportLockCycles(pass *ModulePass, eng *lockEngine, edges map[[2]*types.Var
 	}
 }
 
-func reportOneCycle(pass *ModulePass, eng *lockEngine, edges map[[2]*types.Var]*orderEdge, loop []*types.Var) {
+func reportOneCycle(pass *ModulePass, names map[*types.Var]string, edges map[[2]*types.Var]*orderEdge, loop []*types.Var) {
 	var chain, sites []string
 	for i := 0; i+1 < len(loop); i++ {
 		e := edges[[2]*types.Var{loop[i], loop[i+1]}]
 		if e == nil {
 			return // defensive: incomplete trace
 		}
-		chain = append(chain, eng.names[loop[i]])
+		chain = append(chain, names[loop[i]])
 		sites = append(sites, fmt.Sprintf("%s->%s in %s at %s",
-			eng.names[e.from], eng.names[e.to], e.inFunc, pass.Fset.Position(e.pos)))
+			names[e.from], names[e.to], e.inFunc, pass.Fset.Position(e.pos)))
 	}
-	chain = append(chain, eng.names[loop[len(loop)-1]])
+	chain = append(chain, names[loop[len(loop)-1]])
 	first := edges[[2]*types.Var{loop[0], loop[1]}]
 	pass.Reportf(first.pos, "lock-order cycle %s: potential deadlock (%s)",
 		strings.Join(chain, " -> "), strings.Join(sites, "; "))
-}
-
-// stronglyConnected is Tarjan's algorithm over the lock graph,
-// returning components in a deterministic order.
-func stronglyConnected(nodes []*types.Var, succ map[*types.Var][]*types.Var) [][]*types.Var {
-	var (
-		out     [][]*types.Var
-		idx     = map[*types.Var]int{}
-		low     = map[*types.Var]int{}
-		onStack = map[*types.Var]bool{}
-		stack   []*types.Var
-		counter int
-	)
-	var strong func(v *types.Var)
-	strong = func(v *types.Var) {
-		idx[v] = counter
-		low[v] = counter
-		counter++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, wv := range succ[v] {
-			if _, ok := idx[wv]; !ok {
-				strong(wv)
-				if low[wv] < low[v] {
-					low[v] = low[wv]
-				}
-			} else if onStack[wv] && idx[wv] < low[v] {
-				low[v] = idx[wv]
-			}
-		}
-		if low[v] == idx[v] {
-			var comp []*types.Var
-			for {
-				n := len(stack) - 1
-				wv := stack[n]
-				stack = stack[:n]
-				onStack[wv] = false
-				comp = append(comp, wv)
-				if wv == v {
-					break
-				}
-			}
-			out = append(out, comp)
-		}
-	}
-	for _, v := range nodes {
-		if _, ok := idx[v]; !ok {
-			strong(v)
-		}
-	}
-	return out
 }

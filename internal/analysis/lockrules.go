@@ -43,8 +43,7 @@ func runLockSafety(pass *ModulePass) {
 		}
 	}
 
-	eng := newLockEngine(pass)
-	w := &lockWalker{eng: eng}
+	w := &lockWalker{}
 	w.onReturn = func(held []*heldLock, pos token.Pos) {
 		for _, hl := range held {
 			pass.Reportf(pos,
@@ -52,7 +51,7 @@ func runLockSafety(pass *ModulePass) {
 				hl.key, pass.Fset.Position(hl.pos))
 		}
 	}
-	w.walkModule()
+	w.walkModule(pass.Graph)
 }
 
 // checkLockCopies flags by-value receivers and parameters whose type

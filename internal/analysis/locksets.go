@@ -2,16 +2,18 @@ package analysis
 
 // The shared lockset engine behind the lockorder and locksafety rules.
 //
-// The engine has two layers. The summary layer computes, to a least
-// fixpoint over the module call graph, which named mutex objects each
-// function may acquire (transitively) and whether it may block
+// The engine has two layers. The summary layer records, for every
+// function, which named mutex objects it may acquire (directly or
+// through any statically resolved callee) and whether it may block
 // indefinitely (channel operations, selects without a default, or a
-// call matched by the blockingSinks table in lockrules.go). Summaries
-// only grow and both lattices are finite, so the fixpoint terminates.
+// call matched by the blockingSinks table in lockrules.go). It is
+// solved bottom-up over the call graph by the shared summary solver
+// (solve.go), once per call graph: lockorder and locksafety share the
+// cached result (CallGraph.lockSets).
 //
 // The walk layer re-traverses every function body tracking the set of
 // locks held at each statement — the same branch-cloning, CFG-free
-// scan locksafety has used since PR 1, extended with call-site and
+// scan locksafety has always used, extended with call-site and
 // channel-operation checks. Both rules consume the walk through
 // callbacks: lockorder records acquisition-order edges and
 // blocked-while-held violations; locksafety keeps its original
@@ -30,18 +32,24 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 )
 
 // lockSummary is the interprocedural abstraction of one function.
 type lockSummary struct {
-	// acquired maps each named mutex the function may acquire —
-	// directly or through any statically resolved callee — to the
-	// first position that acquisition was observed at.
-	acquired map[*types.Var]token.Pos
-	// blocks names the first potentially indefinite wait found in the
-	// function (or a callee); empty when none.
+	// acquired holds each named mutex the function may acquire —
+	// directly or through any statically resolved callee.
+	acquired map[*types.Var]bool
+	// blocks names the first potentially indefinite wait in the
+	// function's body, in source order, where a call stands for the
+	// wait its callee's summary names; empty when none. Inside a
+	// recursive cycle the first name found is kept across rescans.
 	blocks string
+}
+
+func equalLockSummary(a, b lockSummary) bool {
+	return a.blocks == b.blocks && maps.Equal(a.acquired, b.acquired)
 }
 
 // heldLock is one lock tracked by the walk layer as currently held.
@@ -54,65 +62,38 @@ type heldLock struct {
 	write    bool       // Lock rather than RLock
 }
 
-// lockEngine owns the summaries and the per-variable display names for
-// one module pass.
-type lockEngine struct {
-	mp    *ModulePass
-	nodes []*FuncNode // every graph node, sorted by declaration position
-	sums  map[*types.Func]*lockSummary
-	names map[*types.Var]string // display name of each named mutex seen
+// lockSets is the solved summary layer of one call graph.
+type lockSets struct {
+	sums map[*types.Func]*lockSummary
+	// names is the display name of each named mutex, taken from its
+	// direct Lock/RLock call at the lowest position (namedAt), so it
+	// does not depend on the order functions are scanned in.
+	names   map[*types.Var]string
+	namedAt map[*types.Var]token.Pos
 }
 
-func newLockEngine(mp *ModulePass) *lockEngine {
-	e := &lockEngine{
-		mp:    mp,
-		sums:  map[*types.Func]*lockSummary{},
-		names: map[*types.Var]string{},
-	}
-	for _, n := range mp.Graph.Funcs {
-		e.nodes = append(e.nodes, n)
-	}
-	sort.Slice(e.nodes, func(i, j int) bool { return e.nodes[i].Decl.Pos() < e.nodes[j].Decl.Pos() })
-	for _, n := range e.nodes {
-		e.sums[n.Fn] = &lockSummary{acquired: map[*types.Var]token.Pos{}}
-	}
-	e.solve()
-	return e
+// lockSets solves the lockset summaries on first use and caches them on
+// the call graph.
+func (g *CallGraph) lockSets() *lockSets {
+	g.lockOnce.Do(func() {
+		ls := &lockSets{
+			sums:    map[*types.Func]*lockSummary{},
+			names:   map[*types.Var]string{},
+			namedAt: map[*types.Var]token.Pos{},
+		}
+		solveBottomUp(g, ls.sums, ls.scan, equalLockSummary)
+		g.locks = ls
+	})
+	return g.locks
 }
 
-// solve iterates summary updates to the least fixpoint.
-func (e *lockEngine) solve() {
-	for changed := true; changed; {
-		changed = false
-		for _, n := range e.nodes {
-			if e.update(n) {
-				changed = true
-			}
-		}
-	}
-}
-
-// update rescans one function and merges what it finds into the
-// stored summary, reporting whether anything grew.
-func (e *lockEngine) update(n *FuncNode) bool {
-	sum := e.sums[n.Fn]
-	changed := false
-	addLock := func(v *types.Var, name string, pos token.Pos) {
-		if v == nil {
-			return
-		}
-		if _, ok := e.names[v]; !ok {
-			e.names[v] = name
-		}
-		if _, ok := sum.acquired[v]; !ok {
-			sum.acquired[v] = pos
-			changed = true
-		}
-	}
+// scan recomputes one function's summary from its body and its callees'
+// current summaries.
+func (ls *lockSets) scan(n *FuncNode) lockSummary {
+	sum := lockSummary{acquired: map[*types.Var]bool{}, blocks: ls.sums[n.Fn].blocks}
 	setBlocks := func(what string) {
-		if sum.blocks == "" && what != "" {
+		if sum.blocks == "" {
 			sum.blocks = what
-			changed = true
 		}
 	}
 	info := n.Pkg.Info
@@ -151,8 +132,12 @@ func (e *lockEngine) update(n *FuncNode) bool {
 			case *ast.CallExpr:
 				if _, op, ok := lockCall(info, x); ok {
 					if op == "Lock" || op == "RLock" {
-						v, name := lockVarOf(info, x)
-						addLock(v, name, x.Pos())
+						if v, name := lockVarOf(info, x); v != nil {
+							sum.acquired[v] = true
+							if at, ok := ls.namedAt[v]; !ok || x.Pos() < at {
+								ls.names[v], ls.namedAt[v] = name, x.Pos()
+							}
+						}
 					}
 					return true
 				}
@@ -164,27 +149,23 @@ func (e *lockEngine) update(n *FuncNode) bool {
 					setBlocks(funcDisplayName(fn))
 					return true
 				}
-				if callee, ok := e.mp.Graph.Funcs[fn]; ok {
-					csum := e.sums[callee.Fn]
-					for v, pos := range csum.acquired {
-						addLock(v, e.names[v], pos)
+				if csum, ok := ls.sums[fn]; ok {
+					for v := range csum.acquired {
+						sum.acquired[v] = true
 					}
-					if csum.blocks != "" {
-						setBlocks(csum.blocks)
-					}
+					setBlocks(csum.blocks)
 				}
 			}
 			return true
 		})
 	}
 	walk(n.Decl.Body)
-	return changed
+	return sum
 }
 
 // lockWalker drives the held-set traversal of one module for one
 // consuming rule. Callbacks left nil are skipped.
 type lockWalker struct {
-	eng  *lockEngine
 	info *types.Info
 	fn   *FuncNode
 
@@ -202,11 +183,11 @@ type lockWalker struct {
 	onReturn func(held []*heldLock, pos token.Pos)
 }
 
-// walkModule runs the walker over every function (and every function
-// literal, as an independent root with an empty held set) in
+// walkModule runs the walker over every function of g (and every
+// function literal, as an independent root with an empty held set) in
 // declaration order.
-func (w *lockWalker) walkModule() {
-	for _, n := range w.eng.nodes {
+func (w *lockWalker) walkModule(g *CallGraph) {
+	for _, n := range sortedFuncNodes(g) {
 		w.fn = n
 		w.info = n.Pkg.Info
 		w.walkStmts(n.Decl.Body.List, map[string]*heldLock{})

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // The taint engine proves the paper's pipeline-level invariant: bytes
@@ -17,8 +16,8 @@ import (
 //     conversions, composite literals, binary expressions, slicing,
 //     indexing, range, and calls; function literals are analyzed in
 //     their enclosing function's state so captured variables flow.
-//   - Across functions, each module function gets a summary computed to
-//     a fixpoint over the whole package set: which parameters flow to
+//   - Across functions, each module function gets a summary, solved
+//     bottom-up over the call graph (solve.go): which parameters flow to
 //     its returns, whether a taint source flows to its returns, and
 //     which parameters it forwards (transitively) into a sink. Calls to
 //     functions without analyzable bodies (stdlib, indirect, interface)
@@ -36,18 +35,12 @@ import (
 // and tracking it would mark every `return nil, err` path after a
 // source call as a content flow.
 
-// taintMask is a small powerset lattice: bit i (i < 62) means "tainted
-// if parameter i is tainted"; the top bit means "carries source taint".
-type taintMask uint64
+// taintMask is a small powerset lattice: bit i (summaryBit(i), i < 62)
+// means "tainted if parameter i is tainted"; the top bit means "carries
+// source taint".
+type taintMask = uint64
 
 const taintSrc taintMask = 1 << 63
-
-func paramBit(i int) taintMask {
-	if i > 61 {
-		i = 61
-	}
-	return 1 << uint(i)
-}
 
 // FuncRef names a package-level function or method for the declarative
 // source/sanitizer/sink tables. Recv is the receiver type name, "" for
@@ -94,52 +87,32 @@ type TaintSpec struct {
 
 // taintSummary is the interprocedural abstraction of one function.
 type taintSummary struct {
-	// ret: paramBit(i) set means parameter i flows to a return value;
+	// ret: summaryBit(i) set means parameter i flows to a return value;
 	// taintSrc set means a source flows to a return value.
 	ret taintMask
-	// sink: paramBit(i) set means parameter i reaches a sink, possibly
+	// sink: summaryBit(i) set means parameter i reaches a sink, possibly
 	// through callees.
 	sink taintMask
 }
 
 type taintEngine struct {
-	spec  *TaintSpec
-	graph *CallGraph
-	sum   map[*types.Func]*taintSummary
+	spec *TaintSpec
+	sum  map[*types.Func]*taintSummary
 
 	// reporting state (nil while solving)
 	pass     *ModulePass
 	reported map[token.Pos]bool
 }
 
-// runTaint executes the spec over the module pass's packages.
+// runTaint executes the spec over the module pass's packages: it solves
+// the summaries (solve.go), then rescans every function in declaration
+// order, reporting.
 func runTaint(pass *ModulePass, spec *TaintSpec) {
-	te := &taintEngine{spec: spec, graph: pass.Graph, sum: map[*types.Func]*taintSummary{}}
-	for fn := range te.graph.Funcs {
-		te.sum[fn] = &taintSummary{}
-	}
-	// Fixpoint: summaries only grow, the lattice is finite, and each
-	// pass recomputes from current summaries, so this terminates at the
-	// least fixpoint regardless of iteration order.
-	for changed := true; changed; {
-		changed = false
-		for fn, node := range te.graph.Funcs {
-			got := te.analyzeFunc(node)
-			if got != *te.sum[fn] {
-				*te.sum[fn] = got
-				changed = true
-			}
-		}
-	}
-	// Report pass, in stable position order.
-	nodes := make([]*FuncNode, 0, len(te.graph.Funcs))
-	for _, n := range te.graph.Funcs {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Decl.Pos() < nodes[j].Decl.Pos() })
+	te := &taintEngine{spec: spec, sum: map[*types.Func]*taintSummary{}}
+	solveBottomUp(pass.Graph, te.sum, te.analyzeFunc, eq[taintSummary])
 	te.pass = pass
 	te.reported = map[token.Pos]bool{}
-	for _, n := range nodes {
+	for _, n := range sortedFuncNodes(pass.Graph) {
 		te.analyzeFunc(n)
 	}
 }
@@ -161,7 +134,7 @@ type taintState struct {
 func (te *taintEngine) analyzeFunc(node *FuncNode) taintSummary {
 	st := &taintState{vals: map[types.Object]taintMask{}, info: node.Pkg.Info}
 	for i, obj := range funcParams(node.Pkg.Info, node.Decl) {
-		st.vals[obj] = paramBit(i)
+		st.vals[obj] = summaryBit(i)
 	}
 	// Two passes approximate loop-carried flows (a value tainted late
 	// in a loop body reaching an earlier statement next iteration).
@@ -535,10 +508,10 @@ func (te *taintEngine) evalCall(st *taintState, call *ast.CallExpr) taintMask {
 			// Summarized module function: translate parameter bits.
 			ret := sum.ret & taintSrc
 			for i, m := range argMasks {
-				if sum.ret&paramBit(i) != 0 {
+				if sum.ret&summaryBit(i) != 0 {
 					ret |= m
 				}
-				if sum.sink&paramBit(i) != 0 {
+				if sum.sink&summaryBit(i) != 0 {
 					if m&taintSrc != 0 {
 						te.report(call.Lparen, te.spec.ForwardMsg, fn)
 					}

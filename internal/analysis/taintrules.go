@@ -88,18 +88,18 @@ var persistenceSinks = []FuncRef{
 // path from a disc/network source to an execution sink may skip the
 // Verifier.
 var Taintflow = &Analyzer{
-	Name: "taintflow",
-	Doc:  "unverified disc/network content must pass the Verifier (core.Open*/xmldsig.Verify*) before reaching execution sinks",
-	RunModule: func(pass *ModulePass) {
-		runTaint(pass, &TaintSpec{
-			Sources:      taintSources,
-			FieldSources: requestBodySource,
-			Sanitizers:   taintSanitizers,
-			Sinks:        executionSinks,
-			SinkMsg:      "unverified disc/network content reaches execution sink %s without passing the Verifier (core.Open*/xmldsig.Verify*)",
-			ForwardMsg:   "unverified disc/network content flows into %s, which forwards it to an execution sink; verify it first (core.Open*/xmldsig.Verify*)",
-		})
-	},
+	Name:      "taintflow",
+	Doc:       "unverified disc/network content must pass the Verifier (core.Open*/xmldsig.Verify*) before reaching execution sinks",
+	RunModule: func(pass *ModulePass) { runTaint(pass, taintflowSpec) },
+}
+
+var taintflowSpec = &TaintSpec{
+	Sources:      taintSources,
+	FieldSources: requestBodySource,
+	Sanitizers:   taintSanitizers,
+	Sinks:        executionSinks,
+	SinkMsg:      "unverified disc/network content reaches execution sink %s without passing the Verifier (core.Open*/xmldsig.Verify*)",
+	ForwardMsg:   "unverified disc/network content flows into %s, which forwards it to an execution sink; verify it first (core.Open*/xmldsig.Verify*)",
 }
 
 // UnverifiedWrite enforces verify-before-persist for network bytes:
@@ -108,16 +108,16 @@ var Taintflow = &Analyzer{
 // not sources here — loading re-verifies them — so authoring tools can
 // rewrite their own masters.
 var UnverifiedWrite = &Analyzer{
-	Name: "unverifiedwrite",
-	Doc:  "unverified network bytes must not reach disc-image or key-store persistence",
-	RunModule: func(pass *ModulePass) {
-		runTaint(pass, &TaintSpec{
-			Sources:      networkTaintSources,
-			FieldSources: requestBodySource,
-			Sanitizers:   taintSanitizers,
-			Sinks:        persistenceSinks,
-			SinkMsg:      "unverified network bytes reach persistent store %s; verify before persisting (core.Open*/xmldsig.Verify*)",
-			ForwardMsg:   "unverified network bytes flow into %s, which persists them; verify before persisting (core.Open*/xmldsig.Verify*)",
-		})
-	},
+	Name:      "unverifiedwrite",
+	Doc:       "unverified network bytes must not reach disc-image or key-store persistence",
+	RunModule: func(pass *ModulePass) { runTaint(pass, unverifiedWriteSpec) },
+}
+
+var unverifiedWriteSpec = &TaintSpec{
+	Sources:      networkTaintSources,
+	FieldSources: requestBodySource,
+	Sanitizers:   taintSanitizers,
+	Sinks:        persistenceSinks,
+	SinkMsg:      "unverified network bytes reach persistent store %s; verify before persisting (core.Open*/xmldsig.Verify*)",
+	ForwardMsg:   "unverified network bytes flow into %s, which persists them; verify before persisting (core.Open*/xmldsig.Verify*)",
 }

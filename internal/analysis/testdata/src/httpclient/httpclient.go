@@ -9,7 +9,7 @@ import (
 )
 
 func deadlineless() {
-	_ = http.DefaultClient // want httpclient
+	_ = http.DefaultClient                                  // want httpclient
 	resp, err := http.Get("http://content.example/app.xml") // want httpclient
 	if err == nil {
 		resp.Body.Close()

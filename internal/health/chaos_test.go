@@ -79,13 +79,13 @@ const (
 
 // chaosRig is the full supervised pipeline under test.
 type chaosRig struct {
-	clk   *chaosClock
-	rec   *obs.Recorder
-	mon   *health.Monitor
-	kc    *keymgmt.Client
-	lib   *library.Library
-	cs    *server.ContentServer
-	wire  *faults.Transport
+	clk     *chaosClock
+	rec     *obs.Recorder
+	mon     *health.Monitor
+	kc      *keymgmt.Client
+	lib     *library.Library
+	cs      *server.ContentServer
+	wire    *faults.Transport
 	creator *keymgmt.Identity
 }
 
