@@ -77,26 +77,24 @@ func cmdPlay(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := []player.Option{
-		player.WithStorage(storage),
-		player.WithRequireSignature(!*allowUnsigned),
-		player.WithPolicy(defaultPolicy()),
+	engine := &player.Engine{
+		Storage:          storage,
+		RequireSignature: !*allowUnsigned,
+		Policy:           defaultPolicy(),
+		Recorder:         newRunRecorder(*metrics),
 	}
-	rec := newRunRecorder(*metrics)
-	if rec != nil {
+	if rec := engine.Recorder; rec != nil {
 		defer func() { fmt.Print("\n" + rec.Snapshot().StageTable()) }()
-		opts = append(opts, player.WithRecorder(rec))
 	}
 	if *rootsPath != "" {
 		pool, err := keymgmt.LoadCertPool(*rootsPath)
 		if err != nil {
 			return err
 		}
-		opts = append(opts, player.WithTrustPool(pool))
+		engine.Roots = pool
 	} else if !*allowUnsigned {
 		return fmt.Errorf("play requires -roots unless -allow-unsigned is set")
 	}
-	engine := player.NewEngine(opts...)
 	sess, err := engine.Load(context.Background(), im)
 	if err != nil {
 		return fmt.Errorf("SECURITY PROCESSING FAILED: %w", err)
@@ -174,21 +172,21 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := []player.Option{
-		player.WithStorage(storage),
-		player.WithRequireSignature(!*allowUnsigned),
+	engine := &player.Engine{
+		Storage:          storage,
+		RequireSignature: !*allowUnsigned,
+		Policy:           defaultPolicy(),
+		Recorder:         newRunRecorder(*metrics),
 	}
-	rec := newRunRecorder(*metrics)
-	if rec != nil {
+	if rec := engine.Recorder; rec != nil {
 		defer func() { fmt.Print("\n" + rec.Snapshot().StageTable()) }()
-		opts = append(opts, player.WithRecorder(rec))
 	}
 	if *rootsPath != "" {
 		pool, err := keymgmt.LoadCertPool(*rootsPath)
 		if err != nil {
 			return err
 		}
-		opts = append(opts, player.WithTrustPool(pool))
+		engine.Roots = pool
 	} else if !*allowUnsigned {
 		return fmt.Errorf("run requires -roots unless -allow-unsigned is set")
 	}
@@ -197,7 +195,7 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return fmt.Errorf("-key: %w", err)
 		}
-		opts = append(opts, player.WithDecryptKeys(xmlenc.DecryptOptions{Key: key}))
+		engine.DecryptKeys = xmlenc.DecryptOptions{Key: key}.ExpandKey()
 	}
 	if *policyPath != "" {
 		polRaw, err := os.ReadFile(*policyPath)
@@ -208,11 +206,8 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return err
 		}
-		opts = append(opts, player.WithPolicy(&access.PDP{PolicySet: *ps}))
-	} else {
-		opts = append(opts, player.WithPolicy(defaultPolicy()))
+		engine.Policy = &access.PDP{PolicySet: *ps}
 	}
-	engine := player.NewEngine(opts...)
 
 	sess, err := engine.Load(context.Background(), im)
 	if err != nil {

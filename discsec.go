@@ -227,7 +227,7 @@ func NewPlayer(cfg PlayerConfig) *Player {
 		Roots:            cfg.Roots,
 		Policy:           cfg.Policy,
 		Storage:          disc.NewLocalStorage(cfg.StorageQuota),
-		DecryptKeys:      cfg.DecryptKeys,
+		DecryptKeys:      cfg.DecryptKeys.ExpandKey(),
 		RequireSignature: cfg.RequireSignature,
 		KeyByName:        cfg.KeyByName,
 		Recorder:         cfg.Recorder,

@@ -1,6 +1,7 @@
 package discsec
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -120,6 +121,17 @@ func TestFacadeSignThenEncrypt(t *testing.T) {
 	}
 	if !sess.Verified() {
 		t.Error("not verified")
+	}
+}
+
+// TestNewPlayerExpandsDecryptKey: a facade player holds its content
+// key already expanded, as the engine's DecryptKeys asks, so decrypting
+// an EncryptedData does not expand the AES key again.
+func TestNewPlayerExpandsDecryptKey(t *testing.T) {
+	key := workload.Bytes(32, 5)
+	p := NewPlayer(PlayerConfig{DecryptKeys: DecryptOptions{Key: key}})
+	if want := (DecryptOptions{Key: key}).ExpandKey(); !reflect.DeepEqual(p.engine.DecryptKeys, want) {
+		t.Error("NewPlayer stored the decryption key without its expansion")
 	}
 }
 

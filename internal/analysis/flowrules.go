@@ -22,7 +22,6 @@ var poolGetFuncs = []FuncRef{
 	{Pkg: pkgXMLDOM, Name: "Parse"},
 	{Pkg: pkgXMLDOM, Name: "ParseBytes"},
 	{Pkg: pkgXMLDOM, Name: "ParseString"},
-	{Pkg: pkgXMLDOM, Name: "ParseWithOptions"},
 }
 
 // poolPutFuncs release pool-owned values: Pool.Put its argument,
@@ -114,7 +113,6 @@ var readerConsumers = []ReaderRef{
 	// wrong bytes.
 	{FuncRef: FuncRef{Pkg: pkgXMLStream, Name: "Parse"}, Arg: 0},
 	{FuncRef: FuncRef{Pkg: pkgXMLDOM, Name: "Parse"}, Arg: 0},
-	{FuncRef: FuncRef{Pkg: pkgXMLDOM, Name: "ParseWithOptions"}, Arg: 0},
 	{FuncRef: FuncRef{Pkg: pkgCore, Recv: "Opener", Name: "OpenReader"}, Arg: 2},
 	{FuncRef: FuncRef{Pkg: pkgCore, Recv: "Opener", Name: "VerifyDetachedReader"}, Arg: 2},
 	{FuncRef: FuncRef{Pkg: pkgLibrary, Recv: "Library", Name: "OpenReader"}, Arg: 2},

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"go/ast"
+	"go/constant"
+	"go/token"
 	"go/types"
 )
 
@@ -22,8 +24,9 @@ var httpDefaultClientFuncs = map[string]bool{
 
 // HTTPClient forbids deadline-less HTTP clients in the networked
 // packages: any use of http.DefaultClient, any call to the net/http
-// package-level request helpers (which use it), and any http.Client
-// composite literal that does not set Timeout.
+// package-level request helpers (which use it), any http.Client
+// composite literal that does not set Timeout, and any assignment of a
+// constant zero to a client's Timeout (`c := *client; c.Timeout = 0`).
 var HTTPClient = &Analyzer{
 	Name: "httpclient",
 	Doc:  "networked packages must use http.Clients with a Timeout, never http.DefaultClient",
@@ -55,6 +58,16 @@ func runHTTPClient(pass *Pass) {
 					pass.Reportf(x.Pos(),
 						"http.Client literal without a Timeout; a zero-Timeout client hangs forever on a dead peer")
 				}
+			case *ast.AssignStmt:
+				if x.Tok != token.ASSIGN || len(x.Lhs) != len(x.Rhs) {
+					return true
+				}
+				for i, lhs := range x.Lhs {
+					if isClientTimeout(pass.Info, lhs) && isConstZero(pass.Info, x.Rhs[i]) {
+						pass.Reportf(lhs.Pos(),
+							"http.Client Timeout set to zero; a zero-Timeout client hangs forever on a dead peer")
+					}
+				}
 			}
 			return true
 		})
@@ -77,6 +90,27 @@ func isHTTPClientLit(info *types.Info, lit *ast.CompositeLit) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "net/http" && obj.Name() == "Client"
+}
+
+// isClientTimeout reports whether e selects the Timeout field of a
+// net/http.Client (the only net/http struct with a field of that name).
+func isClientTimeout(info *types.Info, e ast.Expr) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.FieldVal {
+		return false
+	}
+	f := s.Obj()
+	return f.Pkg() != nil && f.Pkg().Path() == "net/http" && f.Name() == "Timeout"
+}
+
+// isConstZero reports whether e is a constant expression equal to 0.
+func isConstZero(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
+	return ok && tv.Value != nil && tv.Value.Kind() == constant.Int && constant.Sign(tv.Value) == 0
 }
 
 // literalSetsField reports whether a keyed composite literal sets the

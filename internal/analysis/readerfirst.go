@@ -26,7 +26,6 @@ var readerFirstEntries = []readerFirstEntry{
 	{FuncRef{Pkg: pkgCluster, Recv: "Edge", Name: "OpenReader"}, 1},
 	{FuncRef{Pkg: pkgPlayer, Recv: "Engine", Name: "LoadFrom"}, 1},
 	{FuncRef{Pkg: modulePath + "/internal/xmldom", Name: "Parse"}, 0},
-	{FuncRef{Pkg: modulePath + "/internal/xmldom", Name: "ParseWithOptions"}, 0},
 }
 
 // readerWrapFuncs are the constructors that turn a resident buffer

@@ -18,6 +18,13 @@ func deadlineless() {
 	_ = http.Client{}                                  // want httpclient
 }
 
+// A copy of a bounded client with its Timeout zeroed is deadline-less.
+func zeroedCopy(client *http.Client) *http.Client {
+	c := *client
+	c.Timeout = 0 // want httpclient
+	return &c
+}
+
 func bounded() {
 	c := &http.Client{Timeout: 10 * time.Second}
 	resp, err := c.Get("http://content.example/app.xml")
@@ -25,4 +32,11 @@ func bounded() {
 		resp.Body.Close()
 	}
 	_ = http.Client{Timeout: 5 * time.Second, Transport: http.DefaultTransport}
+}
+
+// Replacing a copy's Timeout with another deadline keeps it bounded.
+func retimedCopy(client *http.Client) *http.Client {
+	c := *client
+	c.Timeout = 30 * time.Second
+	return &c
 }

@@ -61,7 +61,7 @@ func bufferWrap(r io.Reader) (*xmldom.Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	return xmldom.ParseWithOptions(bytes.NewBuffer(buf), xmldom.ParseOptions{}) // want readerfirst
+	return xmldom.Parse(bytes.NewBuffer(buf)) // want readerfirst
 }
 
 // Clean: the original reader flows straight through.

@@ -36,9 +36,7 @@ type Edge struct {
 	monitor *health.Monitor
 	client  *http.Client
 	fill    *resilience.Breaker
-	bulk    *resilience.Bulkhead
 	ring    *Ring
-	vnodes  int
 	maxBody int64
 
 	// epoch is the highest fleet trust epoch this edge has heard
@@ -99,28 +97,8 @@ func WithEdgeClient(c *http.Client) EdgeOption {
 	}
 }
 
-// WithEdgeBreaker replaces the origin-fill breaker (tests tune
-// thresholds and clocks through it). Bind happens in NewEdge.
-func WithEdgeBreaker(b *resilience.Breaker) EdgeOption {
-	return func(e *Edge) {
-		if b != nil {
-			e.fill = b
-		}
-	}
-}
-
-// WithEdgeBulkhead caps concurrent origin fills from this edge.
-func WithEdgeBulkhead(bh *resilience.Bulkhead) EdgeOption {
-	return func(e *Edge) { e.bulk = bh }
-}
-
-// WithEdgeVirtualNodes sets the ring's virtual-node count per member
-// (DefaultVirtualNodes when unset).
-func WithEdgeVirtualNodes(n int) EdgeOption {
-	return func(e *Edge) { e.vnodes = n }
-}
-
-// WithEdgeMaxBody bounds one open's document size (default 16 MiB).
+// WithEdgeMaxBody bounds one open's document size (default
+// maxVerifyBody).
 func WithEdgeMaxBody(n int64) EdgeOption {
 	return func(e *Edge) {
 		if n > 0 {
@@ -146,7 +124,9 @@ func NewEdge(name, selfURL, origin string, opts ...EdgeOption) *Edge {
 		selfURL: selfURL,
 		origin:  origin,
 		client:  &http.Client{Timeout: 5 * time.Second, Transport: edgeTransport},
-		maxBody: 16 << 20,
+		fill:    &resilience.Breaker{Name: name + "-fill"},
+		ring:    NewRing(DefaultVirtualNodes),
+		maxBody: maxVerifyBody,
 		records: lru.New[string, Record](recordBudget),
 		peers:   make(map[string]string),
 	}
@@ -156,10 +136,6 @@ func NewEdge(name, selfURL, origin string, opts ...EdgeOption) *Edge {
 	if e.monitor == nil {
 		e.monitor = health.New(health.WithRecorder(e.rec))
 	}
-	if e.fill == nil {
-		e.fill = &resilience.Breaker{Name: name + "-fill"}
-	}
-	e.ring = NewRing(e.vnodes)
 	e.ring.Add(name)
 	e.monitor.Register(health.ComponentCluster)
 	e.monitor.BindBreaker(health.ComponentCluster, e.fill)
@@ -286,6 +262,7 @@ func (e *Edge) Pull(ctx context.Context) (int, error) {
 	req.Header.Set(HeaderEdge, e.name)
 	// The client's Timeout would cut a large set off mid-stream.
 	client := *e.client
+	//discvet:ignore httpclient a Pull streams the whole verdict set: the transport's ResponseHeaderTimeout bounds the wait for headers, ctx the body
 	client.Timeout = 0
 	resp, err := client.Do(req)
 	if err != nil {
@@ -528,14 +505,8 @@ func (e *Edge) fillMiss(ctx context.Context, rec *obs.Recorder, key string, body
 			}
 		}
 	}
-	release, err := e.bulk.Acquire(ctx)
-	if err != nil {
-		rec.Inc("cluster.bulkhead_rejected")
-		return Record{}, err
-	}
-	defer release()
 	var rd Record
-	err = e.fill.Do(ctx, func(ctx context.Context) error {
+	err := e.fill.Do(ctx, func(ctx context.Context) error {
 		var xerr error
 		rd, xerr = e.exchange(ctx, e.origin+PathVerify, body, false)
 		return xerr

@@ -15,6 +15,10 @@ import (
 	"discsec/internal/resilience"
 )
 
+// maxVerifyBody bounds one verification body: the origin's inbound
+// /cluster/verify body and an edge open's document (WithEdgeMaxBody).
+const maxVerifyBody = 16 << 20
+
 // Origin is the cluster's cold-verification node: it runs every cold
 // fill through the shared library, stamps the resulting verdict with
 // the fleet trust epoch read before the fill began (so a fill racing a
@@ -25,10 +29,9 @@ import (
 // http.Handler for the /cluster/* routes; mount it with
 // server.WithClusterOrigin or behind any mux.
 type Origin struct {
-	lib     *library.Library
-	rec     *obs.Recorder
-	client  *http.Client
-	maxBody int64
+	lib    *library.Library
+	rec    *obs.Recorder
+	client *http.Client
 
 	// epoch is the fleet trust epoch: the authoritative count of
 	// trust-changing events. Forward-only.
@@ -69,22 +72,11 @@ func WithOriginClient(c *http.Client) OriginOption {
 	}
 }
 
-// WithOriginMaxBody bounds an inbound verification body (default
-// 16 MiB).
-func WithOriginMaxBody(n int64) OriginOption {
-	return func(o *Origin) {
-		if n > 0 {
-			o.maxBody = n
-		}
-	}
-}
-
 // NewOrigin builds the origin over a shared verification library.
 func NewOrigin(lib *library.Library, opts ...OriginOption) *Origin {
 	o := &Origin{
 		lib:      lib,
 		client:   &http.Client{Timeout: 5 * time.Second},
-		maxBody:  16 << 20,
 		members:  make(map[string]Member),
 		breakers: make(map[string]*resilience.Breaker),
 	}
@@ -197,7 +189,7 @@ func (o *Origin) serveVerify(w http.ResponseWriter, r *http.Request) {
 	ctx, rec := o.obsContext(r.Context())
 	defer rec.Start(obs.StageCluster).End()
 	e := o.epoch.Load()
-	v, status, err := o.lib.OpenReader(ctx, http.MaxBytesReader(w, r.Body, o.maxBody))
+	v, status, err := o.lib.OpenReader(ctx, http.MaxBytesReader(w, r.Body, maxVerifyBody))
 	if err != nil {
 		rec.Inc("cluster.origin_verify_err")
 		writeError(w, err)

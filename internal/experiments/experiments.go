@@ -451,13 +451,13 @@ func PlayerPipeline(packed []byte) (*player.ExecutionReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := player.NewEngine(
-		player.WithTrustPool(root.Pool()),
-		player.WithPolicy(PlatformPolicy()),
-		player.WithStorage(disc.NewLocalStorage(0)),
-		player.WithDecryptKeys(xmlenc.DecryptOptions{Key: EncKey}),
-		player.WithRequireSignature(true),
-	)
+	e := &player.Engine{
+		Roots:            root.Pool(),
+		Policy:           PlatformPolicy(),
+		Storage:          disc.NewLocalStorage(0),
+		DecryptKeys:      xmlenc.DecryptOptions{Key: EncKey}.ExpandKey(),
+		RequireSignature: true,
+	}
 	sess, err := e.Load(context.Background(), im)
 	if err != nil {
 		return nil, err
@@ -565,13 +565,13 @@ func RunStartup(packed []byte, requireSignature bool) error {
 	if err != nil {
 		return err
 	}
-	e := player.NewEngine(
-		player.WithTrustPool(root.Pool()),
-		player.WithPolicy(PlatformPolicy()),
-		player.WithStorage(disc.NewLocalStorage(0)),
-		player.WithDecryptKeys(xmlenc.DecryptOptions{Key: EncKey}),
-		player.WithRequireSignature(requireSignature),
-	)
+	e := &player.Engine{
+		Roots:            root.Pool(),
+		Policy:           PlatformPolicy(),
+		Storage:          disc.NewLocalStorage(0),
+		DecryptKeys:      xmlenc.DecryptOptions{Key: EncKey}.ExpandKey(),
+		RequireSignature: requireSignature,
+	}
 	sess, err := e.Load(context.Background(), im)
 	if err != nil {
 		return err

@@ -50,11 +50,11 @@ func TestStressSharedLibrary(t *testing.T) {
 
 	for g := 0; g < engines; g++ {
 		g := g
-		e := player.NewEngine(
-			player.WithLibrary(lib),
-			player.WithPolicy(experiments.PlatformPolicy()),
-			player.WithStorage(disc.NewLocalStorage(0)),
-		)
+		e := &player.Engine{
+			Library: lib,
+			Policy:  experiments.PlatformPolicy(),
+			Storage: disc.NewLocalStorage(0),
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

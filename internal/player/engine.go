@@ -27,7 +27,9 @@ import (
 	"discsec/internal/xmlenc"
 )
 
-// Engine is a configured player runtime.
+// Engine is a configured player runtime. The zero Engine is a closed
+// platform: no trusted roots, a nil policy (deny everything), no
+// storage, and signatures not required.
 type Engine struct {
 	// Roots are the player's trusted root certificates.
 	Roots *x509.CertPool
@@ -36,7 +38,9 @@ type Engine struct {
 	Policy *access.PDP
 	// Storage is the player's local storage.
 	Storage *disc.LocalStorage
-	// DecryptKeys supplies content decryption material.
+	// DecryptKeys supplies content decryption material. Set it from
+	// DecryptOptions.ExpandKey, so the AES key is expanded once per
+	// engine rather than once per EncryptedData.
 	DecryptKeys xmlenc.DecryptOptions
 	// RequireSignature bars unsigned applications (always set for
 	// downloaded content; disc content may relax it per §5.1).
@@ -44,8 +48,6 @@ type Engine struct {
 	// KeyByName resolves ds:KeyName hints via a trust service when a
 	// signature embeds no certificate (XKMS flow, paper §7).
 	KeyByName func(name string) (crypto.PublicKey, error)
-	// ScriptStepBudget bounds script execution; 0 uses the default.
-	ScriptStepBudget int
 	// Recorder receives engine observability when the load context does
 	// not carry one of its own (obs.WithRecorder wins). A nil Recorder
 	// with a bare context keeps the engine silent.
@@ -245,7 +247,6 @@ func (s *Session) RunApplication(trackID string) (*ExecutionReport, error) {
 
 	// Scripts: execute against the gated host API.
 	interp := markup.NewInterp()
-	interp.StepBudget = s.engine.ScriptStepBudget
 	s.bindHostAPI(interp, m, grants, rep)
 	for i, script := range m.Code.Scripts {
 		if script.Language != "" && script.Language != "ecmascript" {

@@ -27,11 +27,11 @@ func TestEnginesShareLibrary(t *testing.T) {
 	)
 
 	mkEngine := func() *Engine {
-		return NewEngine(
-			WithLibrary(lib),
-			WithPolicy(platformPolicy()),
-			WithStorage(disc.NewLocalStorage(0)),
-		)
+		return &Engine{
+			Library: lib,
+			Policy:  platformPolicy(),
+			Storage: disc.NewLocalStorage(0),
+		}
 	}
 
 	s1, err := mkEngine().Load(context.Background(), im)
@@ -81,11 +81,11 @@ func TestEngineLibraryFailsClosed(t *testing.T) {
 			RequireSignature: true,
 		}),
 	)
-	e := NewEngine(
-		WithLibrary(lib),
-		WithPolicy(platformPolicy()),
-		WithStorage(disc.NewLocalStorage(0)),
-	)
+	e := &Engine{
+		Library: lib,
+		Policy:  platformPolicy(),
+		Storage: disc.NewLocalStorage(0),
+	}
 	if sess, err := e.Load(context.Background(), im); err == nil || sess != nil {
 		t.Fatalf("unsigned disc loaded through strict library (err=%v)", err)
 	}
@@ -105,8 +105,8 @@ func TestSessionsHoldNoTree(t *testing.T) {
 		name string
 		e    *Engine
 	}{
-		{"library-miss", NewEngine(WithLibrary(lib))},
-		{"library-hit", NewEngine(WithLibrary(lib))},
+		{"library-miss", &Engine{Library: lib}},
+		{"library-hit", &Engine{Library: lib}},
 		{"direct", newEngine()},
 	} {
 		sess, err := tc.e.Load(context.Background(), im)

@@ -44,14 +44,14 @@ func TestPipelineSpanGolden(t *testing.T) {
 
 	sink := &obs.MemorySink{}
 	rec := obs.NewRecorder(obs.WithSink(sink))
-	e := NewEngine(
-		WithTrustPool(rootCA.Pool()),
-		WithPolicy(platformPolicy()),
-		WithStorage(disc.NewLocalStorage(0)),
-		WithDecryptKeys(xmlenc.DecryptOptions{Key: key}),
-		WithRequireSignature(true),
-		WithRecorder(rec),
-	)
+	e := &Engine{
+		Roots:            rootCA.Pool(),
+		Policy:           platformPolicy(),
+		Storage:          disc.NewLocalStorage(0),
+		DecryptKeys:      xmlenc.DecryptOptions{Key: key}.ExpandKey(),
+		RequireSignature: true,
+		Recorder:         rec,
+	}
 	sess, err := e.Load(context.Background(), im)
 	if err != nil {
 		t.Fatalf("load: %v", err)
@@ -129,13 +129,13 @@ func TestConcurrentLoadsSharedRecorder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := NewEngine(
-				WithTrustPool(rootCA.Pool()),
-				WithPolicy(platformPolicy()),
-				WithStorage(disc.NewLocalStorage(0)),
-				WithRequireSignature(true),
-				WithRecorder(rec),
-			)
+			e := &Engine{
+				Roots:            rootCA.Pool(),
+				Policy:           platformPolicy(),
+				Storage:          disc.NewLocalStorage(0),
+				RequireSignature: true,
+				Recorder:         rec,
+			}
 			if _, err := e.Load(context.Background(), im); err != nil {
 				errs <- err
 			}

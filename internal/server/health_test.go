@@ -64,7 +64,8 @@ func TestHealthzJSONWithMonitor(t *testing.T) {
 // listener is still accepting — the drainHook fires between the flip
 // and srv.Shutdown, and performs a real over-the-wire health check.
 func TestShutdownFlipsHealthzBeforeListenerStops(t *testing.T) {
-	cs := NewContentServer(WithShutdownTimeout(5 * time.Second))
+	cs := NewContentServer()
+	cs.ShutdownTimeout = 5 * time.Second
 	base, shutdown, err := cs.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

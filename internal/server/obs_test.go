@@ -77,7 +77,8 @@ func TestServerRouteMetrics(t *testing.T) {
 
 func TestServerShedMetric(t *testing.T) {
 	rec := obs.NewRecorder()
-	cs := NewContentServer(WithRecorder(rec), WithMaxInFlight(1))
+	cs := NewContentServer(WithRecorder(rec))
+	cs.MaxInFlight = 1
 	cs.PublishResource("big.bin", bigPayload, "application/octet-stream")
 
 	bw := newBlockingWriter()

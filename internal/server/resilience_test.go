@@ -317,7 +317,9 @@ func (w *blockingWriter) Write(p []byte) (int, error) {
 }
 
 func TestInFlightLimitShedsWithRetryAfter(t *testing.T) {
-	cs := NewContentServer(WithMaxInFlight(1), WithRetryAfter(3*time.Second))
+	cs := NewContentServer()
+	cs.MaxInFlight = 1
+	cs.RetryAfter = 3 * time.Second
 	cs.PublishResource("big.bin", bigPayload, "application/octet-stream")
 
 	bw := newBlockingWriter()
@@ -370,7 +372,8 @@ func TestDownloaderRetriesShedServer(t *testing.T) {
 }
 
 func TestGracefulShutdown(t *testing.T) {
-	cs := NewContentServer(WithShutdownTimeout(2 * time.Second))
+	cs := NewContentServer()
+	cs.ShutdownTimeout = 2 * time.Second
 	cs.PublishDocument("doc.xml", []byte("<d/>"))
 	base, shutdown, err := cs.Serve("127.0.0.1:0")
 	if err != nil {

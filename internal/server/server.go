@@ -107,22 +107,6 @@ func WithClock(now func() time.Time) Option {
 	}
 }
 
-// WithMaxInFlight bounds concurrently served content requests; past it
-// the server sheds load with 503 + Retry-After. 0 means unlimited.
-func WithMaxInFlight(limit int64) Option {
-	return func(cs *ContentServer) { cs.MaxInFlight = limit }
-}
-
-// WithRetryAfter sets the delay advertised on shed requests.
-func WithRetryAfter(d time.Duration) Option {
-	return func(cs *ContentServer) { cs.RetryAfter = d }
-}
-
-// WithShutdownTimeout bounds graceful drain on shutdown.
-func WithShutdownTimeout(d time.Duration) Option {
-	return func(cs *ContentServer) { cs.ShutdownTimeout = d }
-}
-
 // WithHealth attaches the dependency-health monitor: /healthz then
 // serves its per-component snapshot as JSON, returning 503 whenever
 // any component is Down (or the server is draining).

@@ -3,7 +3,7 @@ package xmldom
 import "discsec/internal/xmlstream"
 
 // StreamBuilder is an xmlstream.Handler that materializes the token
-// stream as a Document. It is how ParseWithOptions builds its tree, and
+// stream as a Document. It is how Parse builds its tree, and
 // it composes with other handlers so a single tokenization pass can
 // build the DOM while, say, incremental canonicalization digests the
 // same tokens.

@@ -91,9 +91,9 @@ func TestParseRejectsDoctype(t *testing.T) {
 }
 
 // TestParseAllowDoctype: there is no way to allow a doctype any more;
-// even a bare declaration through ParseWithOptions is ErrDoctype.
+// even a bare declaration through Parse is ErrDoctype.
 func TestParseAllowDoctype(t *testing.T) {
-	_, err := ParseWithOptions(strings.NewReader(`<!DOCTYPE r><r/>`), ParseOptions{})
+	_, err := Parse(strings.NewReader(`<!DOCTYPE r><r/>`))
 	if !errors.Is(err, ErrDoctype) {
 		t.Fatalf("err = %v, want ErrDoctype", err)
 	}
@@ -121,20 +121,30 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseDepthLimit: every entry point that parses a whole document
+// holds the tokenizer's default depth limit of 512 nested elements.
 func TestParseDepthLimit(t *testing.T) {
-	var b strings.Builder
-	for i := 0; i < 20; i++ {
-		b.WriteString("<a>")
+	nested := func(depth int) string {
+		return strings.Repeat("<a>", depth) + strings.Repeat("</a>", depth)
 	}
-	for i := 0; i < 20; i++ {
-		b.WriteString("</a>")
+	entries := []struct {
+		name  string
+		parse func(string) (*Document, error)
+	}{
+		{"Parse", func(s string) (*Document, error) { return Parse(strings.NewReader(s)) }},
+		{"ParseString", ParseString},
+		{"ParseBytes", func(s string) (*Document, error) { return ParseBytes([]byte(s)) }},
 	}
-	_, err := ParseWithOptions(strings.NewReader(b.String()), ParseOptions{MaxDepth: 10})
-	if err == nil {
-		t.Fatal("expected depth limit error")
-	}
-	if _, err := ParseWithOptions(strings.NewReader(b.String()), ParseOptions{MaxDepth: 30}); err != nil {
-		t.Fatalf("within depth limit: %v", err)
+	for _, e := range entries {
+		doc, err := e.parse(nested(512))
+		if err != nil {
+			t.Errorf("%s: 512 levels: %v", e.name, err)
+		} else {
+			doc.Release()
+		}
+		if _, err := e.parse(nested(513)); err == nil || !strings.Contains(err.Error(), "depth limit 512") {
+			t.Errorf("%s: 513 levels: err = %v, want the depth limit of 512", e.name, err)
+		}
 	}
 }
 
