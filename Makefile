@@ -79,7 +79,9 @@ chaos:
 # reference tree walker, the library's cache-key pass, memo cold and
 # warm, against the DOM pipeline (see DESIGN.md §14), the key memo's tag
 # against byte equality, the shared base64 decoder against
-# strip-then-decode with the standard library, the byte-budgeted cache's
+# strip-then-decode with the standard library, the one decryptor
+# against the standard library's AES-CBC and AES-GCM on arbitrary inline
+# payloads, the byte-budgeted cache's
 # random Get/Peek/Put/CompareAndDelete runs against a reference map,
 # verification with the signature memo warm against verification with
 # every memo reset (mutated SignedInfo, SignatureValue and KeyInfo; see
@@ -94,6 +96,7 @@ fuzz-smoke:
 	$(GO) test ./internal/library -run '^$$' -fuzz '^FuzzKeyDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/library -run '^$$' -fuzz '^FuzzMemoTagDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/xmldom -run '^$$' -fuzz '^FuzzBase64Text$$' -fuzztime 15s
+	$(GO) test ./internal/xmlenc -run '^$$' -fuzz '^FuzzDecryptOctets$$' -fuzztime 15s
 	$(GO) test ./internal/lru -run '^$$' -fuzz '^FuzzCacheOps$$' -fuzztime 15s
 	$(GO) test ./internal/xmldsig -run '^$$' -fuzz '^FuzzSignatureMemoDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 15s

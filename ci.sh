@@ -50,7 +50,7 @@ go test -run '^$' -bench . -benchtime 1x ./...
 make examples
 make faults
 make chaos
-# Thirteen fuzz targets, 15 s each (see the Makefile).
+# Fourteen fuzz targets, 15 s each (see the Makefile).
 make fuzz-smoke
 # Smoke run of the paper's experiment tables (E1-E7, C1).
 go run ./cmd/discbench -quick

@@ -5,6 +5,7 @@ package discsec
 // real CLIs. Skipped under -short.
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -141,6 +142,30 @@ func TestCLIEndToEnd(t *testing.T) {
 
 	// Wrong key fails.
 	runToolExpectFailure(t, bin, "disccrypt", "decrypt", "-in", "enc.xml", "-out", "dec2.xml", "-key", strings.Repeat("00", 32))
+
+	// Binary payloads (Fig. 7): encrypt-bin then decrypt-bin returns the
+	// input byte for byte under CBC and GCM. Under GCM a wrong key fails
+	// the tag check, so decrypt-bin fails and writes no output file (a
+	// wrong CBC key passes the padding check one time in sixteen).
+	clip := make([]byte, 5000)
+	for i := range clip {
+		clip[i] = byte(i*131 + i>>8)
+	}
+	if err := os.WriteFile(filepath.Join(bin, "clip.m2ts"), clip, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []string{"aes128-cbc", "aes256-gcm"} {
+		binKey := strings.TrimSpace(runTool(t, bin, "disccrypt", "genkey", "-alg", alg))
+		runTool(t, bin, "disccrypt", "encrypt-bin", "-in", "clip.m2ts", "-out", alg+".enc.xml", "-key", binKey, "-alg", alg, "-mime", "video/mp2t")
+		runTool(t, bin, "disccrypt", "decrypt-bin", "-in", alg+".enc.xml", "-out", alg+".m2ts", "-key", binKey)
+		if got, err := os.ReadFile(filepath.Join(bin, alg+".m2ts")); err != nil || !bytes.Equal(got, clip) {
+			t.Fatalf("%s: decrypt-bin output differs from the encrypt-bin input (err %v)", alg, err)
+		}
+	}
+	runToolExpectFailure(t, bin, "disccrypt", "decrypt-bin", "-in", "aes256-gcm.enc.xml", "-out", "wrongkey.m2ts", "-key", strings.Repeat("00", 32))
+	if _, err := os.Stat(filepath.Join(bin, "wrongkey.m2ts")); !os.IsNotExist(err) {
+		t.Fatalf("decrypt-bin under a wrong key left an output file (stat err %v)", err)
+	}
 
 	// Rights license over the CLI: grant two plays to one device, play
 	// with persistent storage, third play and a stranger refused.

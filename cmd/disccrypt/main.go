@@ -8,6 +8,11 @@
 //	disccrypt decrypt -in enc.xml -out dec.xml -key <hex>
 //	disccrypt encrypt-bin -in clip.m2ts -out clip.enc.xml -key <hex> [-mime video/mp2t]
 //	disccrypt decrypt-bin -in clip.enc.xml -out clip.m2ts -key <hex>
+//
+// decrypt-bin reads the whole EncryptedData document and decrypts its
+// payload in memory (about 2.75 times the input file at peak), then
+// writes the plaintext; a payload that fails its padding or tag check
+// writes no output file.
 package main
 
 import (
@@ -245,20 +250,15 @@ func cmdDecryptBin(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.OpenFile(*out, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	// The plaintext is written only once it is whole and its padding
+	// or tag has checked out: a failed decryption leaves no file.
+	pt, err := xmlenc.DecryptOctets(doc.Root(), xmlenc.DecryptOptions{Key: key})
 	if err != nil {
 		return err
 	}
-	// Stream the plaintext straight to the file; an error mid-stream
-	// leaves a partial file, so remove it rather than hand garbage on.
-	n, err := xmlenc.DecryptOctetsTo(f, doc.Root(), xmlenc.DecryptOptions{Key: key})
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(*out)
+	if err := os.WriteFile(*out, pt, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("decrypted %d bytes: %s -> %s\n", n, *in, *out)
+	fmt.Printf("decrypted %d bytes: %s -> %s\n", len(pt), *in, *out)
 	return nil
 }

@@ -63,7 +63,6 @@ var errCheckedProducers = []FuncRef{
 	{Pkg: pkgCore, Recv: "Opener", Name: "Open"},
 	{Pkg: pkgCore, Recv: "Opener", Name: "OpenReader"},
 	{Pkg: pkgCore, Recv: "Opener", Name: "VerifyDetached"},
-	{Pkg: pkgCore, Recv: "Opener", Name: "VerifyDetachedReader"},
 	// The leaf verifier.
 	{Pkg: pkgXMLDSig, Name: "Verify"},
 	{Pkg: pkgXMLDSig, Name: "VerifyDocument"},
@@ -76,7 +75,6 @@ var errCheckedProducers = []FuncRef{
 	// The Decryptor.
 	{Pkg: pkgXMLEnc, Name: "DecryptOctets"},
 	{Pkg: pkgXMLEnc, Name: "DecryptAll"},
-	{Pkg: pkgXMLEnc, Name: "DecryptOctetsTo"},
 }
 
 var pkgXMLEnc = modulePath + "/internal/xmlenc"
@@ -114,7 +112,6 @@ var readerConsumers = []ReaderRef{
 	{FuncRef: FuncRef{Pkg: pkgXMLStream, Name: "Parse"}, Arg: 0},
 	{FuncRef: FuncRef{Pkg: pkgXMLDOM, Name: "Parse"}, Arg: 0},
 	{FuncRef: FuncRef{Pkg: pkgCore, Recv: "Opener", Name: "OpenReader"}, Arg: 2},
-	{FuncRef: FuncRef{Pkg: pkgCore, Recv: "Opener", Name: "VerifyDetachedReader"}, Arg: 2},
 	{FuncRef: FuncRef{Pkg: pkgLibrary, Recv: "Library", Name: "OpenReader"}, Arg: 2},
 	{FuncRef: FuncRef{Pkg: pkgPlayer, Recv: "Engine", Name: "LoadFrom"}, Arg: 2},
 	{FuncRef: FuncRef{Pkg: modulePath, Recv: "Player", Name: "LoadFrom"}, Arg: 2},

@@ -21,7 +21,6 @@ type readerFirstEntry struct {
 // precisely for already-resident payloads.
 var readerFirstEntries = []readerFirstEntry{
 	{FuncRef{Pkg: pkgCore, Recv: "Opener", Name: "OpenReader"}, 1},
-	{FuncRef{Pkg: pkgCore, Recv: "Opener", Name: "VerifyDetachedReader"}, 1},
 	{FuncRef{Pkg: pkgLibrary, Recv: "Library", Name: "OpenReader"}, 1},
 	{FuncRef{Pkg: pkgCluster, Recv: "Edge", Name: "OpenReader"}, 1},
 	{FuncRef{Pkg: pkgPlayer, Recv: "Engine", Name: "LoadFrom"}, 1},

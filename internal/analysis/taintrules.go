@@ -51,7 +51,6 @@ var taintSanitizers = []FuncRef{
 	{Pkg: pkgCore, Recv: "Opener", Name: "Open"},
 	{Pkg: pkgCore, Recv: "Opener", Name: "OpenReader"},
 	{Pkg: pkgCore, Recv: "Opener", Name: "VerifyDetached"},
-	{Pkg: pkgCore, Recv: "Opener", Name: "VerifyDetachedReader"},
 	// The shared verification library: a cache hit is only ever a
 	// previously verified verdict (fills run core.Opener.Open;
 	// unsigned documents bypass the cache but still went through the

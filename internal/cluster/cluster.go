@@ -125,11 +125,8 @@ func writeError(w http.ResponseWriter, err error) {
 }
 
 // classifyExchange folds an inter-node HTTP status into the resilience
-// taxonomy: 5xx and 429 are transient (the breaker counts them toward
-// opening), everything else terminal.
+// taxonomy (resilience.ClassifyStatus): 5xx and 429 are transient (the
+// breaker counts them toward opening), everything else terminal.
 func classifyExchange(url string, resp *http.Response) error {
-	if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
-		return resilience.Transient(fmt.Errorf("cluster: POST %s: %s", url, resp.Status))
-	}
-	return resilience.Terminal(fmt.Errorf("cluster: POST %s: %s", url, resp.Status))
+	return resilience.ClassifyStatus(resp, fmt.Errorf("cluster: %s %s: %s", resp.Request.Method, url, resp.Status))
 }

@@ -564,3 +564,28 @@ func TestEdgeMaxBodyCheckedBeforeKeying(t *testing.T) {
 		}
 	}
 }
+
+// TestHeartbeatFailureNamesGET: a heartbeat is a GET of the epoch
+// route, and a 503 from the origin comes back transient, carrying the
+// origin's Retry-After, in an error that names the verb it sent.
+func TestHeartbeatFailureNamesGET(t *testing.T) {
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "2")
+		http.Error(w, "overloaded", http.StatusServiceUnavailable)
+	}))
+	defer origin.Close()
+	e := cluster.NewEdge("edge-0", "http://127.0.0.1:0", origin.URL)
+	err := e.Heartbeat(context.Background())
+	if err == nil {
+		t.Fatal("heartbeat against a 503 origin succeeded")
+	}
+	if want := "GET " + origin.URL + cluster.PathEpoch; !strings.Contains(err.Error(), want) {
+		t.Errorf("heartbeat error %q does not name %q", err, want)
+	}
+	if !resilience.IsTransient(err) {
+		t.Errorf("heartbeat error %q is not transient", err)
+	}
+	if after, ok := resilience.RetryAfter(err); !ok || after != 2*time.Second {
+		t.Errorf("RetryAfter = %v, %v; want 2s", after, ok)
+	}
+}

@@ -157,18 +157,6 @@ func (e *Edge) Health() *health.Monitor { return e.monitor }
 // Ring exposes the routing ring (tests pin ownership through it).
 func (e *Edge) Ring() *Ring { return e.ring }
 
-// obsContext mirrors the library: a recorder on the context wins,
-// otherwise the edge's is attached.
-func (e *Edge) obsContext(ctx context.Context) (context.Context, *obs.Recorder) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if rec := obs.FromContext(ctx); rec != nil {
-		return ctx, rec
-	}
-	return obs.WithRecorder(ctx, e.rec), e.rec
-}
-
 // advanceEpoch moves the edge's announced epoch forward, never back:
 // announcements arrive over the wire, where duplication, delay, and
 // reordering are normal, so only a strictly newer epoch wins the CAS.
@@ -219,7 +207,7 @@ func (e *Edge) peerURL(name string) (string, bool) {
 // Join registers the edge with the origin and adopts the fleet epoch
 // and membership from the response.
 func (e *Edge) Join(ctx context.Context) error {
-	ctx, rec := e.obsContext(ctx)
+	ctx, rec := obs.Attach(ctx, e.rec)
 	frame, err := EncodeFrame(JoinRequest{Name: e.name, URL: e.selfURL})
 	if err != nil {
 		return err
@@ -254,7 +242,7 @@ func (e *Edge) Join(ctx context.Context) error {
 // streams for as long as ctx allows; only the wait for its headers is
 // bounded by the client (WithEdgeClient).
 func (e *Edge) Pull(ctx context.Context) (int, error) {
-	ctx, rec := e.obsContext(ctx)
+	ctx, rec := obs.Attach(ctx, e.rec)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, e.origin+PathVerdicts, nil)
 	if err != nil {
 		return 0, err
@@ -309,7 +297,7 @@ func (e *Edge) resident(keys []string) int {
 // the epoch — which is how a healed partition catches up on
 // revocations it missed.
 func (e *Edge) Heartbeat(ctx context.Context) error {
-	ctx, rec := e.obsContext(ctx)
+	ctx, rec := obs.Attach(ctx, e.rec)
 	ann, err := e.pollEpoch(ctx)
 	if err != nil {
 		e.monitor.ReportProbe(health.ComponentCluster, err)
@@ -369,7 +357,7 @@ func (e *Edge) RunHeartbeats(ctx context.Context, interval time.Duration) {
 // locally and misses route via the ring to exactly one origin
 // verification fleet-wide.
 func (e *Edge) OpenReader(ctx context.Context, r io.Reader) (Record, Status, error) {
-	ctx, rec := e.obsContext(ctx)
+	ctx, rec := obs.Attach(ctx, e.rec)
 	defer rec.Start(obs.StageCluster).End()
 	if err := ctx.Err(); err != nil {
 		return Record{}, StatusMiss, err
@@ -613,7 +601,7 @@ func (e *Edge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // serveVerify handles a miss forwarded by a ring peer: same open path,
 // but never re-forwarded.
 func (e *Edge) serveVerify(w http.ResponseWriter, r *http.Request) {
-	ctx, rec := e.obsContext(r.Context())
+	ctx, rec := obs.Attach(r.Context(), e.rec)
 	defer rec.Start(obs.StageCluster).End()
 	f, err := e.readFront(rec, http.MaxBytesReader(w, r.Body, e.maxBody))
 	if err != nil {
@@ -633,7 +621,7 @@ func (e *Edge) serveVerify(w http.ResponseWriter, r *http.Request) {
 
 // serveVerdicts stores records pushed by the origin.
 func (e *Edge) serveVerdicts(w http.ResponseWriter, r *http.Request) {
-	_, rec := e.obsContext(r.Context())
+	_, rec := obs.Attach(r.Context(), e.rec)
 	fr := NewFrameReader(http.MaxBytesReader(w, r.Body, MaxFrame+16))
 	for {
 		var rd Record

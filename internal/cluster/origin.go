@@ -186,7 +186,7 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // rejects the record as lagging instead of caching a pre-revocation
 // verdict.
 func (o *Origin) serveVerify(w http.ResponseWriter, r *http.Request) {
-	ctx, rec := o.obsContext(r.Context())
+	ctx, rec := obs.Attach(r.Context(), o.rec)
 	defer rec.Start(obs.StageCluster).End()
 	e := o.epoch.Load()
 	v, status, err := o.lib.OpenReader(ctx, http.MaxBytesReader(w, r.Body, maxVerifyBody))
@@ -275,18 +275,6 @@ func (o *Origin) serveJoin(w http.ResponseWriter, r *http.Request) {
 		}
 		o.push(m, PathMembers, update, "cluster.member_push")
 	}
-}
-
-// obsContext mirrors the library: a recorder on the context wins,
-// otherwise the origin's is attached.
-func (o *Origin) obsContext(ctx context.Context) (context.Context, *obs.Recorder) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if rec := obs.FromContext(ctx); rec != nil {
-		return ctx, rec
-	}
-	return obs.WithRecorder(ctx, o.rec), o.rec
 }
 
 func writeFrameResponse(w http.ResponseWriter, v any) {

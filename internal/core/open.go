@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"crypto"
 	"crypto/x509"
@@ -183,28 +182,12 @@ func (o *Opener) verifyAndDecrypt(ctx context.Context, doc *xmldom.Document) (*O
 
 	// Phase 2: verify all signatures.
 	for i, sig := range sigs {
-		vres, err := xmldsig.Verify(doc, sig, xmldsig.VerifyOptions{
-			Roots:                    o.Roots,
-			Resolver:                 o.Resolver,
-			KeyByName:                o.KeyByName,
-			AcceptedSignatureMethods: o.AcceptedSignatureMethods,
-			Recorder:                 rec,
-		})
+		vres, err := xmldsig.Verify(doc, sig, o.verifyOptions(o.Resolver, rec))
 		if err != nil {
 			rec.Audit(obs.AuditVerifyFailed, "signature %d: %v", i+1, err)
 			return nil, fmt.Errorf("core: signature %d: %w", i+1, err)
 		}
-		reports[i].ChainValidated = vres.CertificateChainValidated
-		reports[i].SignerKeyFingerprint = vres.SignerKeyFingerprint()
-		if vres.KeyInfo != nil {
-			reports[i].SignerName = vres.KeyInfo.KeyName
-			if len(vres.KeyInfo.Certificates) > 0 {
-				reports[i].SignerCN = vres.KeyInfo.Certificates[0].Subject.CommonName
-			}
-		}
-		for _, ref := range vres.References {
-			reports[i].References = append(reports[i].References, ref.URI)
-		}
+		reports[i].fill(vres)
 	}
 	res.Signatures = reports
 
@@ -218,26 +201,17 @@ func (o *Opener) verifyAndDecrypt(ctx context.Context, doc *xmldom.Document) (*O
 }
 
 // VerifyDetached validates a detached signature file from the disc image
-// against the image contents (track payload integrity, §5.3).
+// against the image contents (track payload integrity, §5.3),
+// dereferencing its reference URIs through the image. The file is
+// scanned in place.
 func (o *Opener) VerifyDetached(ctx context.Context, im *disc.Image, signaturePath string) (*SignatureReport, error) {
 	raw, err := im.Get(signaturePath)
 	if err != nil {
 		return nil, err
 	}
-	return o.verifyDetachedReader(ctx, bytes.NewReader(raw), im, signaturePath)
-}
-
-// VerifyDetachedReader validates a detached signature document streamed
-// from r, dereferencing its reference URIs through resolver (usually
-// the disc image). It is the reader-first form of VerifyDetached.
-func (o *Opener) VerifyDetachedReader(ctx context.Context, r io.Reader, resolver xmldsig.ExternalResolver) (*SignatureReport, error) {
-	return o.verifyDetachedReader(ctx, r, resolver, "(reader)")
-}
-
-func (o *Opener) verifyDetachedReader(ctx context.Context, r io.Reader, resolver xmldsig.ExternalResolver, label string) (*SignatureReport, error) {
 	rec := obs.FromContext(ctx)
 	sp := rec.Start(obs.StageParse)
-	doc, err := xmldom.Parse(r)
+	doc, err := xmldom.ParseBytes(raw)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: parse detached signature: %w", err)
@@ -248,29 +222,41 @@ func (o *Opener) verifyDetachedReader(ctx context.Context, r io.Reader, resolver
 	if sig == nil {
 		return nil, xmldsig.ErrNoSignature
 	}
-	vres, err := xmldsig.Verify(doc, sig, xmldsig.VerifyOptions{
+	vres, err := xmldsig.Verify(doc, sig, o.verifyOptions(im, rec))
+	if err != nil {
+		rec.Audit(obs.AuditVerifyFailed, "detached signature %s: %v", signaturePath, err)
+		return nil, err
+	}
+	rep := &SignatureReport{}
+	rep.fill(vres)
+	return rep, nil
+}
+
+// verifyOptions are the options every signature is verified under: the
+// opener's trust settings, with detached references dereferenced
+// through resolver.
+func (o *Opener) verifyOptions(resolver xmldsig.ExternalResolver, rec *obs.Recorder) xmldsig.VerifyOptions {
+	return xmldsig.VerifyOptions{
 		Roots:                    o.Roots,
 		Resolver:                 resolver,
 		KeyByName:                o.KeyByName,
 		AcceptedSignatureMethods: o.AcceptedSignatureMethods,
 		Recorder:                 rec,
-	})
-	if err != nil {
-		rec.Audit(obs.AuditVerifyFailed, "detached signature %s: %v", label, err)
-		return nil, err
 	}
-	rep := &SignatureReport{
-		ChainValidated:       vres.CertificateChainValidated,
-		SignerKeyFingerprint: vres.SignerKeyFingerprint(),
-	}
+}
+
+// fill copies the signer and the validated references of a successful
+// verification into r.
+func (r *SignatureReport) fill(vres *xmldsig.VerifyResult) {
+	r.ChainValidated = vres.CertificateChainValidated
+	r.SignerKeyFingerprint = vres.SignerKeyFingerprint()
 	if vres.KeyInfo != nil {
-		rep.SignerName = vres.KeyInfo.KeyName
+		r.SignerName = vres.KeyInfo.KeyName
 		if len(vres.KeyInfo.Certificates) > 0 {
-			rep.SignerCN = vres.KeyInfo.Certificates[0].Subject.CommonName
+			r.SignerCN = vres.KeyInfo.Certificates[0].Subject.CommonName
 		}
 	}
 	for _, ref := range vres.References {
-		rep.References = append(rep.References, ref.URI)
+		r.References = append(r.References, ref.URI)
 	}
-	return rep, nil
 }

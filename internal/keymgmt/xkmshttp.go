@@ -343,12 +343,7 @@ func (c *Client) postOnce(ctx context.Context, doc *xmldom.Document) (*xmldom.El
 		return nil, fmt.Errorf("keymgmt: reading result: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		rerr := fmt.Errorf("keymgmt: endpoint returned %s: %s", resp.Status, bytes.TrimSpace(body))
-		if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
-			return nil, resilience.WithRetryAfter(resilience.Transient(rerr),
-				resilience.ParseRetryAfter(resp.Header.Get("Retry-After")))
-		}
-		return nil, resilience.Terminal(rerr)
+		return nil, resilience.ClassifyStatus(resp, fmt.Errorf("keymgmt: endpoint returned %s: %s", resp.Status, bytes.TrimSpace(body)))
 	}
 	rd, err := xmldom.ParseBytes(body)
 	if err != nil {

@@ -299,18 +299,6 @@ func (l *Library) shardFor(key string) *lru.Cache[string, entry] {
 	return l.shards[int(h)%len(l.shards)]
 }
 
-// obsContext mirrors player.Engine: a recorder on the context wins,
-// otherwise the library's is attached for the verification layers.
-func (l *Library) obsContext(ctx context.Context) (context.Context, *obs.Recorder) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if rec := obs.FromContext(ctx); rec != nil {
-		return ctx, rec
-	}
-	return obs.WithRecorder(ctx, l.rec), l.rec
-}
-
 // OpenReader verifies a cluster document read from r through the
 // shared cache. The reader is consumed once, into a pooled buffer, and
 // one tokenization of those bytes derives the exclusive-C14N cache key
@@ -319,7 +307,7 @@ func (l *Library) obsContext(ctx context.Context) (context.Context, *obs.Recorde
 // that races a trust invalidation re-parses them and verifies again,
 // exactly like the byte-slice form.
 func (l *Library) OpenReader(ctx context.Context, r io.Reader) (*Verdict, Status, error) {
-	ctx, rec := l.obsContext(ctx)
+	ctx, rec := obs.Attach(ctx, l.rec)
 	defer rec.Start(obs.StageLibrary).End()
 	if err := ctx.Err(); err != nil {
 		return nil, StatusMiss, err
@@ -338,7 +326,7 @@ func (l *Library) OpenReader(ctx context.Context, r io.Reader) (*Verdict, Status
 // cached for every later caller. Unsigned documents are processed but
 // never cached (StatusBypass).
 func (l *Library) OpenDocument(ctx context.Context, raw []byte) (*Verdict, Status, error) {
-	ctx, rec := l.obsContext(ctx)
+	ctx, rec := obs.Attach(ctx, l.rec)
 	defer rec.Start(obs.StageLibrary).End()
 	if err := ctx.Err(); err != nil {
 		return nil, StatusMiss, err

@@ -31,7 +31,7 @@ type mounted struct {
 // Mount — the disc is not registered, so nothing unverified can be
 // served later (fail closed).
 func (l *Library) Mount(ctx context.Context, name string, im *disc.Image) error {
-	ctx, rec := l.obsContext(ctx)
+	ctx, rec := obs.Attach(ctx, l.rec)
 	if name == "" || im == nil {
 		return fmt.Errorf("library: Mount requires a name and image")
 	}
@@ -143,7 +143,7 @@ func (l *Library) openMounted(ctx context.Context, rec *obs.Recorder, m *mounted
 // OpenDisc returns the verified verdict for a mounted disc's index: the
 // decoded cluster, the security report, and how the call was served.
 func (l *Library) OpenDisc(ctx context.Context, discName string) (*Verdict, Status, error) {
-	ctx, rec := l.obsContext(ctx)
+	ctx, rec := obs.Attach(ctx, l.rec)
 	defer rec.Start(obs.StageLibrary).End()
 	got, ok := l.mounts.Load(discName)
 	if !ok {

@@ -367,6 +367,21 @@ func WithRecorder(ctx context.Context, r *Recorder) context.Context {
 	return context.WithValue(ctx, ctxKey{}, r)
 }
 
+// Attach resolves the recorder for one operation of a component that
+// owns the recorder own: a recorder already on ctx wins; otherwise own
+// is attached, so the layers below see it. A nil ctx is the background
+// context. It returns the context to pass down and the recorder in
+// effect (nil, the no-op recorder, when neither is set).
+func Attach(ctx context.Context, own *Recorder) (context.Context, *Recorder) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if r := FromContext(ctx); r != nil {
+		return ctx, r
+	}
+	return WithRecorder(ctx, own), own
+}
+
 // FromContext extracts the recorder from ctx, or nil (the no-op
 // recorder) when none is attached.
 func FromContext(ctx context.Context) *Recorder {

@@ -77,19 +77,6 @@ type Session struct {
 	licenseID   string
 }
 
-// obsContext resolves the observability story for one load: a recorder
-// already on the context wins; otherwise the engine's configured
-// recorder is attached so the layers below see it.
-func (e *Engine) obsContext(ctx context.Context) (context.Context, *obs.Recorder) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if rec := obs.FromContext(ctx); rec != nil {
-		return ctx, rec
-	}
-	return obs.WithRecorder(ctx, e.Recorder), e.Recorder
-}
-
 // Load opens a disc image: reads the index, runs the Fig. 9 security
 // pipeline, and decodes the content hierarchy. The context carries
 // cancellation intent and the obs.Recorder for per-stage spans.
@@ -113,7 +100,7 @@ func (e *Engine) Load(ctx context.Context, im *disc.Image) (*Session, error) {
 // buffered whole; with one, the library's key front reads it into a
 // pooled buffer so a cache hit needs no further parse.
 func (e *Engine) LoadFrom(ctx context.Context, r io.Reader) (*Session, error) {
-	ctx, rec := e.obsContext(ctx)
+	ctx, rec := obs.Attach(ctx, e.Recorder)
 	sp := rec.Start(obs.StageLoad)
 	s, err := e.loadFrom(ctx, rec, r)
 	sp.End()

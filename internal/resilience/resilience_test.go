@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"net/http"
 	"runtime"
 	"syscall"
 	"testing"
@@ -100,6 +101,41 @@ func TestRetryAfterHint(t *testing.T) {
 	}
 	if WithRetryAfter(nil, time.Second) != nil {
 		t.Error("WithRetryAfter(nil) != nil")
+	}
+}
+
+// TestClassifyStatus: 5xx and 429 are transient, with the response's
+// Retry-After as the backoff floor; any other status is terminal; the
+// caller's error stays in the chain either way.
+func TestClassifyStatus(t *testing.T) {
+	cases := []struct {
+		code       int
+		retryAfter string
+		transient  bool
+		floor      time.Duration
+	}{
+		{http.StatusInternalServerError, "", true, 0},
+		{http.StatusServiceUnavailable, "3", true, 3 * time.Second},
+		{http.StatusTooManyRequests, "", true, 0},
+		{http.StatusNotFound, "", false, 0},
+		{http.StatusBadRequest, "5", false, 0},
+	}
+	for _, c := range cases {
+		resp := &http.Response{StatusCode: c.code, Header: http.Header{}}
+		if c.retryAfter != "" {
+			resp.Header.Set("Retry-After", c.retryAfter)
+		}
+		cause := fmt.Errorf("exchange answered %d", c.code)
+		err := ClassifyStatus(resp, cause)
+		if !errors.Is(err, cause) {
+			t.Errorf("%d: %v lost the caller's error", c.code, err)
+		}
+		if IsTransient(err) != c.transient || IsTerminal(err) == c.transient {
+			t.Errorf("%d: transient = %v, want %v", c.code, IsTransient(err), c.transient)
+		}
+		if floor, _ := RetryAfter(err); floor != c.floor {
+			t.Errorf("%d: Retry-After floor = %v, want %v", c.code, floor, c.floor)
+		}
 	}
 }
 

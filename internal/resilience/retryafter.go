@@ -38,3 +38,16 @@ func ParseRetryAfterAt(h string, now time.Time) time.Duration {
 	}
 	return 0
 }
+
+// ClassifyStatus marks err, the caller's description of an HTTP
+// exchange that answered with a status it does not accept, by that
+// status: 5xx and 429 are transient, carrying the response's
+// Retry-After as a backoff floor; every other status is terminal.
+// The Downloader, the XKMS client and the cluster exchanges share this
+// one rule.
+func ClassifyStatus(resp *http.Response, err error) error {
+	if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
+		return WithRetryAfter(Transient(err), ParseRetryAfter(resp.Header.Get("Retry-After")))
+	}
+	return Terminal(err)
+}

@@ -585,11 +585,8 @@ func (d *Downloader) fetchOnce(ctx context.Context, url string, st *fetchState) 
 		st.resumed = true
 	case resp.StatusCode == http.StatusNotFound:
 		return resilience.Terminal(fmt.Errorf("server: GET %s: %w", url, ErrNotFound))
-	case resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests:
-		err := fmt.Errorf("server: GET %s: %s%s", url, resp.Status, bodySnippet(resp.Body))
-		return resilience.WithRetryAfter(resilience.Transient(err), resilience.ParseRetryAfter(resp.Header.Get("Retry-After")))
 	default:
-		return resilience.Terminal(fmt.Errorf("server: GET %s: %s%s", url, resp.Status, bodySnippet(resp.Body)))
+		return resilience.ClassifyStatus(resp, fmt.Errorf("server: GET %s: %s%s", url, resp.Status, bodySnippet(resp.Body)))
 	}
 
 	limit := d.limit()

@@ -6,7 +6,6 @@ import (
 	"crypto/rsa"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 
@@ -16,6 +15,10 @@ import (
 )
 
 // DecryptOptions configures decryption of EncryptedData structures.
+// Every decryption takes one path, DecryptOctets or DecryptElement over
+// decryptData: the ciphertext is resident (an inline CipherValue, or the
+// bytes CipherResolver returns) and the plaintext comes back whole, so
+// none is released before a CBC padding or GCM tag check has passed.
 type DecryptOptions struct {
 	// Key is the shared content-encryption key, used when the
 	// EncryptedData carries no EncryptedKey.
@@ -31,10 +34,6 @@ type DecryptOptions struct {
 	// CipherResolver dereferences xenc:CipherReference URIs (ciphertext
 	// stored outside the document, e.g. in the disc image).
 	CipherResolver func(uri string) ([]byte, error)
-	// CipherStreamResolver, when set, dereferences CipherReference URIs
-	// as a stream; DecryptOctetsTo prefers it over CipherResolver so a
-	// large clip's ciphertext is never materialized whole.
-	CipherStreamResolver func(uri string) (io.ReadCloser, error)
 	// Recorder, when non-nil, receives one obs.StageDecrypt span per
 	// EncryptedData decryption.
 	Recorder *obs.Recorder

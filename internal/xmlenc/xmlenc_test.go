@@ -2,6 +2,7 @@ package xmlenc
 
 import (
 	"bytes"
+	"crypto/aes"
 	"crypto/rand"
 	"crypto/rsa"
 	"errors"
@@ -256,26 +257,35 @@ func TestUnwrapCorruptedFails(t *testing.T) {
 	}
 }
 
+// TestEncryptOctetsBinary: binary payloads of every size around a block
+// boundary (empty, sub-block, one block, just past it, many blocks)
+// round-trip through a serialized EncryptedData and DecryptOctets under
+// CBC and GCM.
 func TestEncryptOctetsBinary(t *testing.T) {
-	payload := make([]byte, 1000)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	k := key(32)
-	doc, err := EncryptOctets(payload, EncryptOptions{Key: k, MimeType: "video/mp2t"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Root().AttrValue("MimeType") != "video/mp2t" {
-		t.Error("MimeType lost")
-	}
-	doc2 := parseDoc(t, doc.Root().String())
-	pt, err := DecryptOctets(doc2.Root(), DecryptOptions{Key: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pt, payload) {
-		t.Error("binary round trip mismatch")
+	for _, alg := range []string{xmlsecuri.EncAES128CBC, xmlsecuri.EncAES256CBC, xmlsecuri.EncAES128GCM, xmlsecuri.EncAES256GCM} {
+		n, _ := KeySize(alg)
+		k := key(n)
+		for _, size := range []int{0, 1, 15, 16, 17, 1000, 4096} {
+			payload := make([]byte, size)
+			for i := range payload {
+				payload[i] = byte(i)
+			}
+			doc, err := EncryptOctets(payload, EncryptOptions{Algorithm: alg, Key: k, MimeType: "video/mp2t"})
+			if err != nil {
+				t.Fatalf("%s/%d: %v", alg, size, err)
+			}
+			if doc.Root().AttrValue("MimeType") != "video/mp2t" {
+				t.Errorf("%s/%d: MimeType lost", alg, size)
+			}
+			doc2 := parseDoc(t, doc.Root().String())
+			pt, err := DecryptOctets(doc2.Root(), DecryptOptions{Key: k})
+			if err != nil {
+				t.Fatalf("%s/%d: %v", alg, size, err)
+			}
+			if !bytes.Equal(pt, payload) {
+				t.Errorf("%s/%d: binary round trip mismatch", alg, size)
+			}
+		}
 	}
 }
 
@@ -531,6 +541,32 @@ func TestCipherReference(t *testing.T) {
 		CipherResolver: func(string) ([]byte, error) { return bad, nil },
 	}); !errors.Is(err, ErrDecryptionFailed) {
 		t.Errorf("corrupted reference err = %v", err)
+	}
+
+	// CBC: a length that is not a block multiple, an IV with no
+	// ciphertext, and a final padding byte outside 1..16 each fail with
+	// ErrDecryptionFailed, never with short plaintext.
+	k16 := key(16)
+	cbcDoc, cbcPayload, err := EncryptOctetsToReference(payload, "disc://CLIPS/clip-2.enc", EncryptOptions{Algorithm: xmlsecuri.EncAES128CBC, Key: k16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The padding byte is the last of the final plaintext block, which
+	// CBC XORs with the byte one block earlier in the payload: flipping
+	// that byte's high bits lifts the pad length past 16.
+	badPad := append([]byte(nil), cbcPayload...)
+	badPad[len(badPad)-aes.BlockSize-1] ^= 0xF0
+	for name, corrupt := range map[string][]byte{
+		"non-block-multiple": cbcPayload[:len(cbcPayload)-5],
+		"IV only":            cbcPayload[:aes.BlockSize],
+		"bad final padding":  badPad,
+	} {
+		if _, err := DecryptOctets(cbcDoc.Root(), DecryptOptions{
+			Key:            k16,
+			CipherResolver: func(string) ([]byte, error) { return corrupt, nil },
+		}); !errors.Is(err, ErrDecryptionFailed) {
+			t.Errorf("CBC %s: err = %v, want ErrDecryptionFailed", name, err)
+		}
 	}
 }
 
