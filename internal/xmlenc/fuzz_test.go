@@ -24,7 +24,7 @@ func oracleDecrypt(algorithm string, key, payload []byte) ([]byte, bool) {
 	}
 	const bs = aes.BlockSize
 	switch algorithm {
-	case xmlsecuri.EncAES128CBC:
+	case xmlsecuri.EncAES128CBC, xmlsecuri.EncAES256CBC:
 		if len(payload) < 2*bs || len(payload)%bs != 0 {
 			return nil, false
 		}
@@ -35,7 +35,7 @@ func oracleDecrypt(algorithm string, key, payload []byte) ([]byte, bool) {
 			return nil, false
 		}
 		return pt[:len(pt)-pad], true
-	case xmlsecuri.EncAES128GCM:
+	case xmlsecuri.EncAES128GCM, xmlsecuri.EncAES256GCM:
 		gcm, err := cipher.NewGCM(block)
 		if err != nil {
 			panic(err)
