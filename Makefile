@@ -78,10 +78,10 @@ chaos:
 # (DOM walk, every subset apex) and its token-fed form against the
 # reference tree walker, the library's cache-key pass, memo cold and
 # warm, against the DOM pipeline (see DESIGN.md §14), the key memo's tag
-# against byte equality, the shared base64 decoder against
-# strip-then-decode with the standard library, the one decryptor
-# against the standard library's AES-CBC and AES-GCM on arbitrary inline
-# payloads, the byte-budgeted cache's
+# against byte equality, the GHASH tag kernel against GCM's Seal, the
+# shared base64 decoder against strip-then-decode with the standard
+# library, the one decryptor against the standard library's AES-CBC
+# and AES-GCM on arbitrary inline payloads, the byte-budgeted cache's
 # random Get/Peek/Put/CompareAndDelete runs against a reference map,
 # verification with the signature memo warm against verification with
 # every memo reset (mutated SignedInfo, SignatureValue and KeyInfo; see
@@ -95,6 +95,7 @@ fuzz-smoke:
 	$(GO) test ./internal/c14n -run '^$$' -fuzz '^FuzzStreamDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/library -run '^$$' -fuzz '^FuzzKeyDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/library -run '^$$' -fuzz '^FuzzMemoTagDifferential$$' -fuzztime 15s
+	$(GO) test ./internal/library -run '^$$' -fuzz '^FuzzTagKernelMatchesGCM$$' -fuzztime 15s
 	$(GO) test ./internal/xmldom -run '^$$' -fuzz '^FuzzBase64Text$$' -fuzztime 15s
 	$(GO) test ./internal/xmlenc -run '^$$' -fuzz '^FuzzDecryptOctets$$' -fuzztime 15s
 	$(GO) test ./internal/lru -run '^$$' -fuzz '^FuzzCacheOps$$' -fuzztime 15s

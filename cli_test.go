@@ -146,7 +146,9 @@ func TestCLIEndToEnd(t *testing.T) {
 	// Binary payloads (Fig. 7): encrypt-bin then decrypt-bin returns the
 	// input byte for byte under CBC and GCM. Under GCM a wrong key fails
 	// the tag check, so decrypt-bin fails and writes no output file (a
-	// wrong CBC key passes the padding check one time in sixteen).
+	// wrong CBC key passes the padding check one time in sixteen, so
+	// decrypt-bin notes, under CBC only, that the payload's signature is
+	// its integrity check).
 	clip := make([]byte, 5000)
 	for i := range clip {
 		clip[i] = byte(i*131 + i>>8)
@@ -157,7 +159,10 @@ func TestCLIEndToEnd(t *testing.T) {
 	for _, alg := range []string{"aes128-cbc", "aes256-gcm"} {
 		binKey := strings.TrimSpace(runTool(t, bin, "disccrypt", "genkey", "-alg", alg))
 		runTool(t, bin, "disccrypt", "encrypt-bin", "-in", "clip.m2ts", "-out", alg+".enc.xml", "-key", binKey, "-alg", alg, "-mime", "video/mp2t")
-		runTool(t, bin, "disccrypt", "decrypt-bin", "-in", alg+".enc.xml", "-out", alg+".m2ts", "-key", binKey)
+		out = runTool(t, bin, "disccrypt", "decrypt-bin", "-in", alg+".enc.xml", "-out", alg+".m2ts", "-key", binKey)
+		if noted := strings.Contains(out, "AES-CBC carries no integrity"); noted != (alg == "aes128-cbc") {
+			t.Fatalf("%s: decrypt-bin's CBC integrity note printed %v:\n%s", alg, noted, out)
+		}
 		if got, err := os.ReadFile(filepath.Join(bin, alg+".m2ts")); err != nil || !bytes.Equal(got, clip) {
 			t.Fatalf("%s: decrypt-bin output differs from the encrypt-bin input (err %v)", alg, err)
 		}

@@ -12,7 +12,12 @@
 // decrypt-bin reads the whole EncryptedData document and decrypts its
 // payload in memory (about 2.75 times the input file at peak), then
 // writes the plaintext; a payload that fails its padding or tag check
-// writes no output file.
+// writes no output file. Only GCM's tag detects a wrong key or a
+// changed payload: AES-CBC carries no integrity, and a wrong key
+// passes its padding check about one time in sixteen, so under CBC a
+// successful decrypt-bin can write garbage. It says so on standard
+// error; verify the payload's signature (paper Fig. 7) before using a
+// CBC plaintext.
 package main
 
 import (
@@ -53,6 +58,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: disccrypt encrypt|decrypt|encrypt-bin|decrypt-bin|genkey [flags]")
+	fmt.Fprintln(os.Stderr, "  decrypt-bin checks integrity under GCM only; verify a CBC payload's signature")
 	os.Exit(2)
 }
 
@@ -256,9 +262,26 @@ func cmdDecryptBin(args []string) error {
 	if err != nil {
 		return err
 	}
+	if isCBC(doc.Root()) {
+		fmt.Fprintln(os.Stderr, "disccrypt: note: AES-CBC carries no integrity, so a wrong key or a changed payload can decrypt to garbage; verify the payload's signature (paper Fig. 7)")
+	}
 	if err := os.WriteFile(*out, pt, 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("decrypted %d bytes: %s -> %s\n", len(pt), *in, *out)
 	return nil
+}
+
+// isCBC reports whether the EncryptedData ed names an AES-CBC
+// algorithm.
+func isCBC(ed *xmldom.Element) bool {
+	em := ed.FirstChildNamed(xmlsecuri.EncNamespace, "EncryptionMethod")
+	if em == nil {
+		return false
+	}
+	switch em.AttrValue("Algorithm") {
+	case xmlsecuri.EncAES128CBC, xmlsecuri.EncAES192CBC, xmlsecuri.EncAES256CBC:
+		return true
+	}
+	return false
 }

@@ -143,11 +143,20 @@ type rawTag [16]byte
 // tagger computes rawTags: AES-GCM sealing an empty plaintext with the
 // bytes as additional data under one fixed nonce. The instance never
 // encrypts, so the fixed nonce reuses no keystream; the tag is
-// GHASH_H(bytes) masked by the constant E_K(J0).
+// GHASH_H(bytes) masked by the constant E_K(J0). Where tagKernel is on,
+// the GHASH kernel computes that same tag from key, which holds H's
+// powers as the AEAD holds them in its product table: unexported and
+// never printed.
 type tagger struct {
 	aead  cipher.AEAD
 	nonce [12]byte
+	key   ghashKey
 }
+
+// tagKernel selects the GHASH kernel (ghash_amd64.s) over Seal. It is
+// on exactly where the CPU runs the kernel; tests clear it to run the
+// Seal path there too.
+var tagKernel = tagKernelCPU
 
 // newTagger returns a tagger under a fresh key from crypto/rand.
 func newTagger() *tagger {
@@ -163,7 +172,9 @@ func newTagger() *tagger {
 	if err != nil {
 		panic("library: key-memo tag GCM: " + err.Error())
 	}
-	return &tagger{aead: aead}
+	t := &tagger{aead: aead}
+	t.key.init(block)
+	return t
 }
 
 // tagBufs holds Seal's output: through the interface call both dst and
@@ -176,9 +187,13 @@ func newTagBuf() any { return new(rawTag) }
 //
 //discvet:hotpath every open of every form tags its bytes here, hit or miss
 func (t *tagger) memoTag(raw []byte) rawTag {
+	var tag rawTag
+	if tagKernel {
+		ghashTag(&t.key, raw, &tag)
+		return tag
+	}
 	out := tagBufs.Get().(*rawTag)
 	t.aead.Seal(out[:0], t.nonce[:], nil, raw)
-	var tag rawTag
 	copy(tag[:], out[:])
 	tagBufs.Put(out)
 	return tag

@@ -2,6 +2,8 @@ package library
 
 import (
 	"bytes"
+	"crypto/rand"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -108,6 +110,105 @@ func FuzzMemoTagDifferential(f *testing.F) {
 		}
 		if keyTagger.memoTag(bytes.Clone(a)) != ta {
 			t.Fatalf("a copy of %q tags differently", a)
+		}
+	})
+}
+
+// tagLengths are the input lengths the differential tag tests cover:
+// every length up to 1 KiB, each 16- and 256-byte boundary ±1 up to
+// 8 KiB, and 1 MiB + 15.
+func tagLengths() []int {
+	var ns []int
+	for n := 0; n <= 1024; n++ {
+		ns = append(ns, n)
+	}
+	for b := 1040; b <= 8<<10; b += 16 {
+		ns = append(ns, b-1, b, b+1)
+	}
+	return append(ns, 1<<20+15)
+}
+
+// tagPaths are memoTag's two computations of one tag.
+var tagPaths = []struct {
+	name   string
+	kernel bool
+}{{"kernel", true}, {"seal", false}}
+
+const noTagKernel = "this CPU lacks the GHASH kernel's instructions (AVX-512 F/BW/VL, VPCLMULQDQ, BMI2)"
+
+// useTagPath runs the rest of the test with memoTag on the kernel or
+// on Seal, and skips a kernel run on a CPU without the kernel.
+func useTagPath(t testing.TB, kernel bool) {
+	if kernel && !tagKernelCPU {
+		t.Skip(noTagKernel)
+	}
+	prev := tagKernel
+	tagKernel = kernel
+	t.Cleanup(func() { tagKernel = prev })
+}
+
+// checkTagsMatchGCM: under 16 random keys, memoTag of every tagLengths
+// prefix of random bytes equals the tag cipher.NewGCM's Seal gives.
+func checkTagsMatchGCM(t *testing.T, kernel bool) {
+	useTagPath(t, kernel)
+	data := make([]byte, 1<<20+15)
+	rand.Read(data)
+	for k := 0; k < 16; k++ {
+		tg := newTagger()
+		var nonce [12]byte
+		for _, n := range tagLengths() {
+			if got, want := tg.memoTag(data[:n]), tg.aead.Seal(nil, nonce[:], nil, data[:n]); !bytes.Equal(got[:], want) {
+				t.Fatalf("key %d, %d bytes: memoTag differs from Seal", k, n)
+			}
+		}
+	}
+}
+
+// TestTagKernelMatchesGCM holds both of memoTag's paths to GCM's tag.
+func TestTagKernelMatchesGCM(t *testing.T) {
+	for _, path := range tagPaths {
+		t.Run(path.name, func(t *testing.T) { checkTagsMatchGCM(t, path.kernel) })
+	}
+}
+
+var tagSink rawTag
+
+// BenchmarkMemoTag times one tag of random bytes on each of memoTag's
+// paths, from a 256-byte document to 1 MiB; 20 KiB is lib-warm's mean
+// document.
+func BenchmarkMemoTag(b *testing.B) {
+	for _, path := range tagPaths {
+		for _, n := range []int{256, 4 << 10, 20 << 10, 64 << 10, 1 << 20} {
+			b.Run(fmt.Sprintf("%s/%dB", path.name, n), func(b *testing.B) {
+				useTagPath(b, path.kernel)
+				raw := make([]byte, n)
+				rand.Read(raw)
+				b.SetBytes(int64(n))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tagSink = keyTagger.memoTag(raw)
+				}
+			})
+		}
+	}
+}
+
+// FuzzTagKernelMatchesGCM: the GHASH kernel's tag of any input equals
+// the tag cipher.NewGCM's Seal gives.
+func FuzzTagKernelMatchesGCM(f *testing.F) {
+	if !tagKernelCPU {
+		f.Skip(noTagKernel)
+	}
+	f.Add([]byte{})
+	f.Add(tagBase())
+	f.Add(bytes.Repeat([]byte{0xa5}, 512+256+15))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var got rawTag
+		ghashTag(&keyTagger.key, raw, &got)
+		var nonce [12]byte
+		if want := keyTagger.aead.Seal(nil, nonce[:], nil, raw); !bytes.Equal(got[:], want) {
+			t.Fatalf("%d bytes: the kernel's tag differs from Seal's", len(raw))
 		}
 	})
 }
