@@ -73,7 +73,7 @@ chaos:
 		./internal/health/ ./internal/faults/ ./internal/resilience/ \
 		./internal/keymgmt/ ./internal/library/ ./internal/server/ ./internal/player/
 
-# Fuzz smoke, 15 s per target: the byte-level scanner
+# Fuzz smoke, sixteen targets at 15 s each: the byte-level scanner
 # against the encoding/xml reference tokenizer, the canonicalizer core
 # (DOM walk, every subset apex) and its token-fed form against the
 # reference tree walker, the library's cache-key pass, memo cold and
@@ -86,9 +86,10 @@ chaos:
 # verification with the signature memo warm against verification with
 # every memo reset (mutated SignedInfo, SignatureValue and KeyInfo; see
 # DESIGN.md §11), the cluster frame decoder on arbitrary bytes (see
-# DESIGN.md §16), and the four parsers of untrusted input: the DOM
-# parser, the cluster model, the policy-set parser and the script
-# interpreter.
+# DESIGN.md §16), both ends of the XKMS exchange (requests to the
+# handler, answers to the client's locate and validate), and the four
+# parsers of untrusted input: the DOM parser, the cluster model, the
+# policy-set parser and the script interpreter.
 fuzz-smoke:
 	$(GO) test ./internal/xmlstream -run '^$$' -fuzz '^FuzzTokenizerDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/c14n -run '^$$' -fuzz '^FuzzCanonicalize$$' -fuzztime 15s
@@ -105,6 +106,7 @@ fuzz-smoke:
 	$(GO) test ./internal/disc -run '^$$' -fuzz '^FuzzParseCluster$$' -fuzztime 15s
 	$(GO) test ./internal/access -run '^$$' -fuzz '^FuzzParsePolicySet$$' -fuzztime 15s
 	$(GO) test ./internal/markup -run '^$$' -fuzz '^FuzzScript$$' -fuzztime 15s
+	$(GO) test ./internal/keymgmt -run '^$$' -fuzz '^FuzzXKMSExchange$$' -fuzztime 15s
 
 # The full gate CI runs on every change.
 check: build lint lint-baseline race poison faults chaos fuzz-smoke

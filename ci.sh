@@ -12,6 +12,8 @@
 set -eux
 
 go build ./...
+# Non-test Go lines, the net count each change reports.
+make loc
 # The library's non-amd64 tag path (ghash_other.go), which no build on an
 # amd64 host compiles otherwise; vet's asmdecl check also holds the amd64
 # kernel's frames to their Go declarations in make lint.
@@ -54,7 +56,7 @@ go test -run '^$' -bench . -benchtime 1x ./...
 make examples
 make faults
 make chaos
-# Fifteen fuzz targets, 15 s each (see the Makefile).
+# Sixteen fuzz targets, 15 s each (see the Makefile).
 make fuzz-smoke
 # Smoke run of the paper's experiment tables (E1-E7, C1).
 go run ./cmd/discbench -quick

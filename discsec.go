@@ -255,10 +255,10 @@ func (p *Player) LoadDocumentContext(ctx context.Context, raw []byte) (*Session,
 	return p.engine.LoadDocument(ctx, raw)
 }
 
-// LoadFrom streams a downloaded cluster document straight into the
-// single-pass verification pipeline without materializing it first
-// (see DESIGN.md §14). Prefer this over LoadDocument when the payload
-// arrives as a stream (network body, file).
+// LoadFrom reads a downloaded cluster document from r, once and to
+// EOF, and verifies the resident bytes (see DESIGN.md §14). Use it
+// when the payload arrives as a stream (network body, file), and
+// LoadDocument when it is already in memory.
 func (p *Player) LoadFrom(ctx context.Context, r io.Reader) (*Session, error) {
 	return p.engine.LoadFrom(ctx, r)
 }
@@ -274,8 +274,8 @@ func ParseDocument(raw []byte) (*Document, error) {
 	return xmldom.ParseBytes(raw)
 }
 
-// ParseDocumentReader parses an XML document from a stream in a single
-// pass, with the same hardened defaults as ParseDocument.
+// ParseDocumentReader reads an XML document from r to EOF and parses
+// it with the same hardened defaults as ParseDocument.
 func ParseDocumentReader(r io.Reader) (*Document, error) {
 	return xmldom.Parse(r)
 }

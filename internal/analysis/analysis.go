@@ -55,10 +55,11 @@
 //     allocate: no fmt calls, map/slice literals, unpreallocated
 //     append, capturing closures, or interface boxing.
 //   - readerfirst: payloads buffered with io.ReadAll must not be
-//     re-wrapped in a bytes/strings reader just to call a streaming
-//     verification entry (core.Opener.OpenReader, library OpenReader,
-//     player LoadFrom, xmldom.Parse, xmldsig digest streams); pass
-//     the original reader through, or use the []byte API form.
+//     re-wrapped in a bytes/strings reader just to call a reader
+//     verification entry (core.Opener.OpenReader, library and edge
+//     OpenReader, player LoadFrom, xmldom.Parse), which buffers it
+//     again; pass the original reader through, or use the []byte API
+//     form.
 //   - poolescape: values from sync.Pool.Get (or pooled module helpers,
 //     found interprocedurally) must not be used, aliased, or returned
 //     after their Put, and never Put twice on any path. Built on the

@@ -106,9 +106,10 @@ var readerConsumers = []ReaderRef{
 	{FuncRef: FuncRef{Pkg: "io", Name: "CopyN"}, Arg: 1},
 	{FuncRef: FuncRef{Pkg: "bytes", Recv: "Buffer", Name: "ReadFrom"}, Arg: 1},
 	{FuncRef: FuncRef{Pkg: "encoding/json", Recv: "Decoder", Name: "Decode"}, Arg: 0},
-	// The streaming verification entries: what they read IS the
+	// The reader verification entries: what they read IS the
 	// document, so a partially drained or re-used reader verifies the
 	// wrong bytes.
+	{FuncRef: FuncRef{Pkg: pkgXMLStream, Name: "ReadAll"}, Arg: 1},
 	{FuncRef: FuncRef{Pkg: pkgXMLStream, Name: "Parse"}, Arg: 0},
 	{FuncRef: FuncRef{Pkg: pkgXMLDOM, Name: "Parse"}, Arg: 0},
 	{FuncRef: FuncRef{Pkg: pkgCore, Recv: "Opener", Name: "OpenReader"}, Arg: 2},

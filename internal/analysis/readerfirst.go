@@ -12,13 +12,12 @@ type readerFirstEntry struct {
 	arg int
 }
 
-// readerFirstEntries are the streaming entry points of the cold
-// verification path. Each consumes its reader in a single pass, so
-// materializing the payload first (io.ReadAll) and re-wrapping it in a
-// bytes/strings reader defeats the pipeline: the whole document sits
-// in memory anyway, plus the copy, while the []byte forms
-// (Opener.Open, Library.OpenDocument, Engine.LoadDocument) exist
-// precisely for already-resident payloads.
+// readerFirstEntries are the reader entry points of the verification
+// path. Each reads its reader once, to EOF, into a buffer of its own,
+// so materializing the payload first (io.ReadAll) and re-wrapping it in
+// a bytes/strings reader holds the document twice and copies it once
+// more, while the []byte forms (Opener.Open, Library.OpenDocument,
+// Engine.LoadDocument) scan already-resident payloads in place.
 var readerFirstEntries = []readerFirstEntry{
 	{FuncRef{Pkg: pkgCore, Recv: "Opener", Name: "OpenReader"}, 1},
 	{FuncRef{Pkg: pkgLibrary, Recv: "Library", Name: "OpenReader"}, 1},
@@ -37,12 +36,12 @@ var readerWrapFuncs = []FuncRef{
 }
 
 // ReaderFirst flags buffering a payload with io.ReadAll only to
-// re-stream it into a reader-first verification entry: the stream
-// should flow straight in (pass the original reader), or the resident
-// bytes should use the []byte form of the API.
+// re-wrap it for a reader verification entry, which buffers it again:
+// pass the original reader, or give the resident bytes to the []byte
+// form of the API.
 var ReaderFirst = &Analyzer{
 	Name: "readerfirst",
-	Doc:  "payloads buffered with io.ReadAll must not be re-wrapped in a reader for the streaming verification entries; pass the original reader through, or use the []byte API form",
+	Doc:  "payloads buffered with io.ReadAll must not be re-wrapped in a reader for the reader verification entries, which buffer it again; pass the original reader through, or use the []byte API form",
 	Run:  runReaderFirst,
 }
 
@@ -60,7 +59,7 @@ func runReaderFirst(pass *Pass) {
 
 // checkReaderFirstFunc runs the two-pass, function-local analysis:
 // first collect every variable holding an io.ReadAll result (and every
-// reader variable wrapping one), then flag streaming entry calls whose
+// reader variable wrapping one), then flag reader entry calls whose
 // reader argument drains such a buffer.
 func checkReaderFirstFunc(pass *Pass, body *ast.BlockStmt) {
 	buffered := map[*types.Var]bool{} // []byte vars from io.ReadAll

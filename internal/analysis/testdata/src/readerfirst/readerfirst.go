@@ -1,6 +1,6 @@
 // Fixture for the readerfirst analyzer: payloads buffered with
 // io.ReadAll must not be re-wrapped in a reader just to call a
-// streaming verification entry.
+// reader verification entry.
 package fixture
 
 import (

@@ -89,7 +89,7 @@ func KeyFingerprint(pub crypto.PublicKey) string {
 	return xmldsig.KeyFingerprint(pub)
 }
 
-// OpenReader processes a protected cluster/manifest document streamed
+// OpenReader processes a protected cluster/manifest document read
 // from r end-to-end:
 //
 //  1. For each signature, run the decryption transform pass (decrypt
@@ -100,9 +100,11 @@ func KeyFingerprint(pub crypto.PublicKey) string {
 //  4. Decode the content hierarchy (disc.ParseCluster); a document
 //     that is not a cluster fails the open.
 //
-// The document is tokenized in a single hardened streaming pass
-// (internal/xmlstream); r is read exactly once and never buffered
-// whole. The tree is released on every path before OpenReader returns.
+// r is read once, to EOF, into the parse arena (xmldom.Parse), and the
+// resident bytes are tokenized in one hardened pass (internal/xmlstream)
+// as Open tokenizes its slice; a read error fails the open before any
+// byte is parsed. The tree is released on every path before OpenReader
+// returns.
 // The context carries cancellation intent and the obs.Recorder that
 // receives per-stage spans (parse, dectrans, digest, signature,
 // decrypt) and security-audit events.

@@ -254,13 +254,15 @@ func (c *Client) now() time.Time {
 // service.
 func (c *Client) Degraded() bool { return c.degraded.Load() }
 
-func (c *Client) storeCached(kb *KeyBinding) {
+// storeCached keeps kb as the stale-cache fallback for name, the name
+// that was requested.
+func (c *Client) storeCached(name string, kb *KeyBinding) {
 	c.cacheMu.Lock()
 	defer c.cacheMu.Unlock()
 	if c.cache == nil {
 		c.cache = make(map[string]cachedBinding)
 	}
-	c.cache[kb.Name] = cachedBinding{kb: *kb, at: c.now()}
+	c.cache[name] = cachedBinding{kb: *kb, at: c.now()}
 }
 
 // cachedFresh returns a copy of the cached binding for name when it
@@ -391,7 +393,7 @@ func (c *Client) LocateContext(ctx context.Context, name string) (*KeyBinding, e
 		return nil
 	})
 	if err == nil {
-		c.storeCached(kb)
+		c.storeCached(name, kb)
 		c.restore()
 		return kb, nil
 	}
@@ -422,6 +424,11 @@ func (c *Client) locateOnce(ctx context.Context, name string) (*KeyBinding, erro
 	if kbEl == nil {
 		return nil, resilience.Terminal(errors.New("keymgmt: LocateResult missing KeyBinding"))
 	}
+	// A binding for another name is not an answer to this request;
+	// accepting it would serve (and cache) that key under this name.
+	if got := kbEl.AttrValue("Name"); got != name {
+		return nil, resilience.Terminal(fmt.Errorf("keymgmt: LocateResult binds %q, not the requested %q", got, name))
+	}
 	der, err := base64.StdEncoding.DecodeString(childText(kbEl, "X509Certificate"))
 	if err != nil {
 		return nil, resilience.Terminal(fmt.Errorf("keymgmt: LocateResult certificate: %w", err))
@@ -431,7 +438,7 @@ func (c *Client) locateOnce(ctx context.Context, name string) (*KeyBinding, erro
 		return nil, resilience.Terminal(fmt.Errorf("keymgmt: LocateResult certificate: %w", err))
 	}
 	return &KeyBinding{
-		Name:        kbEl.AttrValue("Name"),
+		Name:        name,
 		Certificate: cert,
 		Revoked:     childText(kbEl, "Status") != string(StatusValid),
 	}, nil

@@ -93,11 +93,11 @@ func (e *Engine) Load(ctx context.Context, im *disc.Image) (*Session, error) {
 	return s, nil
 }
 
-// LoadFrom opens a bare cluster document streamed from r (a downloaded
+// LoadFrom opens a bare cluster document read from r (a downloaded
 // application body, a request body, an open file). The reader is
-// consumed exactly once. Without a shared library this is the
-// single-pass streaming verification path and the document is never
-// buffered whole; with one, the library's key front reads it into a
+// consumed once, to EOF, and the document is verified from the resident
+// bytes: without a shared library core.Opener.OpenReader reads it into
+// its parse arena; with one, the library's key front reads it into a
 // pooled buffer so a cache hit needs no further parse.
 func (e *Engine) LoadFrom(ctx context.Context, r io.Reader) (*Session, error) {
 	ctx, rec := obs.Attach(ctx, e.Recorder)

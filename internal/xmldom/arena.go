@@ -18,10 +18,8 @@ const (
 	// document, its decrypted regions included. A new character chunk is
 	// only as large as the input being parsed, whose text cannot be
 	// longer, so a small document that is never released does not pay
-	// for a full chunk; a streamed input, of unknown length, gets
-	// streamCharChunk.
-	charChunk       = 16 << 10
-	streamCharChunk = 2 << 10
+	// for a full chunk.
+	charChunk = 16 << 10
 )
 
 // maxPooledArena caps the bytes an arena may retain and still go back
@@ -55,8 +53,8 @@ type arena struct {
 	marks   []int
 	// merged gathers a text node that arrives in several chunks.
 	merged []byte
-	// wrap holds a fragment wrapped in its synthetic root while
-	// ParseFragment scans it.
+	// wrap holds the input Parse read, or a fragment wrapped in its
+	// synthetic root while ParseFragment scans it.
 	wrap []byte
 }
 

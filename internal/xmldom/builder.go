@@ -16,7 +16,7 @@ import "discsec/internal/xmlstream"
 // The builder itself lives in the arena and is valid until the
 // document is released.
 //
-// Well-formedness and security limits are enforced by xmlstream.Parse
+// Well-formedness and security limits are enforced by the tokenizer
 // before tokens reach the builder, so the builder itself cannot fail.
 type StreamBuilder struct {
 	doc *Document
@@ -30,24 +30,15 @@ type StreamBuilder struct {
 	open *Text
 }
 
-// NewStreamBuilder returns a builder for one document, backed by an
-// arena from the pool.
-func NewStreamBuilder() *StreamBuilder {
-	return newBuilder(&Document{}, getArena(), 0)
-}
-
 // newBuilder readies a's builder to build into doc from an input of n
-// bytes (0 when its length is unknown); doc is nil for a fragment, whose
-// nodes the caller takes from the pending list.
+// bytes; doc is nil for a fragment, whose nodes the caller takes from
+// the pending list.
 func newBuilder(doc *Document, a *arena, n int) *StreamBuilder {
 	if doc != nil {
 		doc.arena = a
 	}
 	a.begin()
-	a.chars.want = streamCharChunk
-	if n > 0 {
-		a.chars.want = min(n, charChunk)
-	}
+	a.chars.want = min(n, charChunk)
 	b := &a.builder
 	*b = StreamBuilder{doc: doc, a: a}
 	return b

@@ -12,21 +12,22 @@ import (
 // tokenizer under this parser is where the rejection happens.
 var ErrDoctype = xmlstream.ErrDoctype
 
-// Parse reads an XML document through the hardened streaming
-// tokenizer (internal/xmlstream), which preserves namespace prefixes
-// exactly as written and enforces the well-formedness the raw tokenizer
-// does not (matching end tags, single document element, duplicate
-// attribute rejection) plus its default security limits (512 levels of
-// nesting, 4 Mi tokens). The tree is materialized by a StreamBuilder,
-// so a DOM parse and a streaming pass over the same input see the
-// identical token stream.
+// Parse reads an XML document from r to EOF into its arena and parses
+// it as ParseBytes does, through the hardened tokenizer
+// (internal/xmlstream), which preserves namespace prefixes exactly as
+// written and enforces the well-formedness the raw tokenizer does not
+// (matching end tags, single document element, duplicate attribute
+// rejection) plus its default security limits (512 levels of nesting,
+// 4 Mi tokens). A read error fails the parse before any token is
+// scanned; errors.Is reaches it.
 func Parse(r io.Reader) (*Document, error) {
-	b := NewStreamBuilder()
-	if err := xmlstream.Parse(r, xmlstream.Options{}, b); err != nil {
-		b.doc.Release()
+	a := getArena()
+	var err error
+	if a.wrap, err = xmlstream.ReadAll(a.wrap[:0], r); err != nil {
+		a.release()
 		return nil, err
 	}
-	return b.Document(), nil
+	return parse(a, a.wrap)
 }
 
 // ParseString parses an XML document from a string with default options.
@@ -37,7 +38,13 @@ func ParseString(s string) (*Document, error) {
 // ParseBytes parses an XML document from a byte slice with default
 // options, scanning the slice in place.
 func ParseBytes(b []byte) (*Document, error) {
-	builder := newBuilder(&Document{}, getArena(), len(b))
+	return parse(getArena(), b)
+}
+
+// parse builds b into a new document backed by a, its character slab
+// sized from len(b).
+func parse(a *arena, b []byte) (*Document, error) {
+	builder := newBuilder(&Document{}, a, len(b))
 	if err := xmlstream.ParseBytes(b, xmlstream.Options{}, builder); err != nil {
 		// Nothing outside the builder saw the partial tree.
 		builder.doc.Release()

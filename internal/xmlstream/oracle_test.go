@@ -214,8 +214,9 @@ var tokenizerSeeds = []string{
 // endTagSeeds are FuzzTokenizerDifferential seeds for the end tag
 // matched in place against the open element: names one byte away from
 // it on either side of the colon, names ending in a colon, space
-// before '>', bytes that may not follow a name, and an end tag cut by
-// the edge of the first 32 KiB read window at every byte.
+// before '>', bytes that may not follow a name, and an end tag across
+// the 32 KiB mark at every byte (the edge of the read window the
+// scanner once refilled).
 var endTagSeeds = func() []string {
 	seeds := []string{
 		`<a></ab>`, `<ab></a>`, `<a:bc></a:b>`, `<a:b></a:bc>`, `<x:></x:>`, `<a></a:>`, `<a:></a>`,
@@ -228,7 +229,7 @@ var endTagSeeds = func() []string {
 		for _, closer := range []string{"</" + name + ">", "</" + name + " \n>"} {
 			for k := 1; k <= len(closer); k++ {
 				open := "<" + name + ` xmlns:ds="urn:ds">`
-				pad := strings.Repeat("z", windowSize-k-len(open))
+				pad := strings.Repeat("z", 32<<10-k-len(open))
 				seeds = append(seeds, open+pad+closer)
 			}
 		}
@@ -246,10 +247,10 @@ var tokenizerRuns = []tokenizerRun{
 	{"bytes", func(data []byte, opts Options, h Handler) error { return ParseBytes(data, opts, h) }},
 	{"reader", func(data []byte, opts Options, h Handler) error { return Parse(bytes.NewReader(data), opts, h) }},
 	{"one-byte", func(data []byte, opts Options, h Handler) error {
-		return parseReader(iotest.OneByteReader(bytes.NewReader(data)), opts, 1, []Handler{h})
+		return Parse(iotest.OneByteReader(bytes.NewReader(data)), opts, h)
 	}},
 	{"half", func(data []byte, opts Options, h Handler) error {
-		return parseReader(iotest.HalfReader(bytes.NewReader(data)), opts, 1, []Handler{h})
+		return Parse(iotest.HalfReader(bytes.NewReader(data)), opts, h)
 	}},
 }
 
@@ -287,9 +288,9 @@ func TestTokenizerMatchesOracleOnSeeds(t *testing.T) {
 // FuzzTokenizerDifferential holds the scanner to the reference
 // tokenizer: for every input both accept or both reject, and accepted
 // inputs yield the same token stream (adjacent text merged), whether
-// the scanner reads from a slice, a reader, or a reader that dribbles
-// one byte at a time into refills of one byte. A second pass under
-// tight limits pins the token and depth accounting.
+// the scanner is given a slice, a reader, a reader that yields one byte
+// per Read, or one that yields half of what is asked. A second pass
+// under tight limits pins the token and depth accounting.
 func FuzzTokenizerDifferential(f *testing.F) {
 	for _, s := range tokenizerSeeds {
 		f.Add([]byte(s))

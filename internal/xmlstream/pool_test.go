@@ -104,3 +104,31 @@ func TestPooledReparseAllocsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestInternTableBounded: a document of many distinct long names
+// leaves at most internSlots*internLen bytes in the pooled parser's
+// interning table; a name longer than internLen is never kept.
+func TestInternTableBounded(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("<r>")
+	for i := 0; i < 2*internSlots; i++ {
+		fmt.Fprintf(&b, "<e%04d%s/>", i, strings.Repeat("x", 1<<10))
+	}
+	b.WriteString("</r>")
+	p := getParser(Options{}, nil)
+	defer putParser(p)
+	p.buf = []byte(b.String())
+	if err := p.run(); err != nil {
+		t.Fatal(err)
+	}
+	kept := 0
+	for _, s := range p.names {
+		if len(s) > internLen {
+			t.Fatalf("interned a %d-byte name", len(s))
+		}
+		kept += len(s)
+	}
+	if kept > internSlots*internLen {
+		t.Errorf("interning table holds %d bytes, bound %d", kept, internSlots*internLen)
+	}
+}

@@ -4,19 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math/bits"
 	"strings"
 	"unicode/utf8"
 )
 
-// The scanner. Input sits in a window, buf[pos:end]; everything before
-// pos is consumed. Markup constructs (tags, comments, processing
-// instructions) are scanned whole: when one runs past the end of the
-// window the scan stops with errMore, more() keeps the construct's
-// bytes, reads on, and the construct is scanned again from its start.
-// Character data never restarts — it is handed to handlers in chunks,
-// so a long text node needs no more window than a short one.
+// The scanner. The whole input is resident in buf, and buf[:pos] is
+// consumed. Markup constructs (tags, comments, processing
+// instructions) are scanned whole; one that the input ends inside fails
+// with an "unexpected EOF" syntax error at the input's length.
+// Character data that needs no unescaping reaches handlers as a
+// subslice of buf; references and CRs are unescaped into a buffer that
+// is handed on once it holds textChunk bytes.
 //
 // The byte-level grammar follows what encoding/xml's strict raw
 // tokenizer accepts, which is what this package was built on before:
@@ -27,43 +26,34 @@ import (
 // Chars. Comments and processing instructions pass through as raw bytes.
 
 const (
-	// windowSize is the read window a parser starts with and keeps in
-	// the pool.
-	windowSize = 32 << 10
-	// minRead is the least a refill asks of the reader; refills also ask
-	// for at least as much as is kept, so re-scanning a construct that
-	// straddles refills stays linear in its size.
-	minRead = 4 << 10
-	// textChunk is the size at which assembled character data is handed
-	// on, bounding the text buffer for arbitrarily long text nodes.
+	// textChunk is the size at which unescaped character data is handed
+	// on.
 	textChunk = 32 << 10
 	// internSlots is the size of the interning table, a two-way
 	// set-associative cache: a new string evicts the older of its set's
 	// two, so hostile inputs with endless distinct names cost
 	// allocations, not memory.
 	internSlots = 1024
-	// internLen is the longest attribute value that is interned; longer
-	// values get their own string.
+	// internLen is the longest name or attribute value that is
+	// interned; longer ones get their own string, so the table holds at
+	// most internSlots*internLen bytes.
 	internLen = 64
 )
 
-// errMore is the scanner's internal signal that a markup construct runs
-// past the end of the window. It never escapes Parse.
-var errMore = errors.New("xmlstream: more input needed")
+// errCut is the scanner's internal signal that a markup construct runs
+// past the end of the input. markup turns it into a syntax error; it
+// never escapes Parse.
+var errCut = errors.New("xmlstream: construct cut off by the end of the input")
 
 // parser holds the pooled per-parse state.
 type parser struct {
-	r        io.Reader
-	buf      []byte // the window, or the whole input under ParseBytes
-	pos, end int    // buf[pos:end] is the unread input
-	base     int64  // input offset of buf[0], for error messages
-	eof      bool   // nothing follows buf[:end]
-	least    int    // minimum refill size
+	buf []byte // the input, resident whole
+	pos int    // buf[:pos] is consumed
 
-	window []byte              // pooled window storage
-	text   []byte              // character data assembled for handlers
-	val    []byte              // an attribute value being unescaped
-	names  [internSlots]string // interned names and short attribute values
+	in    []byte              // pooled storage Parse reads its input into
+	text  []byte              // character data assembled for handlers
+	val   []byte              // an attribute value being unescaped
+	names [internSlots]string // interned names and short attribute values
 
 	stack    []name
 	attrs    []Attr
@@ -97,81 +87,18 @@ func init() {
 	}
 }
 
-// more reads further input into the window, keeping buf[pos:end]. It
-// reports false, with no error, once the input is exhausted.
-func (p *parser) more() (bool, error) {
-	if p.eof {
-		return false, nil
-	}
-	keep := p.end - p.pos
-	if p.pos > 0 {
-		copy(p.buf, p.buf[p.pos:p.end])
-		p.base += int64(p.pos)
-		p.pos, p.end = 0, keep
-	}
-	want := max(keep, p.least)
-	if keep+want > len(p.buf) {
-		p.grow(keep + want)
-	}
-	got, empty := 0, 0
-	for got < want {
-		n, err := p.r.Read(p.buf[p.end:])
-		p.end += n
-		got += n
-		if err == io.EOF {
-			p.eof = true
-			break
-		}
-		if err != nil {
-			return false, errRead(err)
-		}
-		if n == 0 {
-			if empty++; empty == 100 {
-				return false, errRead(io.ErrNoProgress)
-			}
-		}
-	}
-	return got > 0, nil
-}
-
-// grow replaces the window with one of at least n bytes.
-func (p *parser) grow(n int) {
-	size := max(2*len(p.buf), windowSize)
-	for size < n {
-		size *= 2
-	}
-	w := make([]byte, size)
-	copy(w, p.buf[:p.end])
-	p.buf, p.window = w, w
-}
-
-// syntax builds a syntax error located at buf[i].
-func (p *parser) syntax(i int, msg string) error {
-	return errSyntax(p.base+int64(i), msg)
-}
-
-// markup scans the construct starting with '<' at pos, refilling the
-// window until it is complete.
+// markup scans the construct starting with '<' at pos.
 func (p *parser) markup() error {
-	for {
-		err := p.markupOnce()
-		if err != errMore {
-			return err
-		}
-		ok, rerr := p.more()
-		if rerr != nil {
-			return rerr
-		}
-		if !ok {
-			return p.syntax(p.end, "unexpected EOF")
-		}
+	if err := p.scanMarkup(); err != errCut {
+		return err
 	}
+	return errSyntax(len(p.buf), "unexpected EOF")
 }
 
-func (p *parser) markupOnce() error {
-	b := p.buf[p.pos:p.end]
+func (p *parser) scanMarkup() error {
+	b := p.buf[p.pos:]
 	if len(b) < 2 {
-		return errMore
+		return errCut
 	}
 	switch b[1] {
 	case '/':
@@ -180,7 +107,7 @@ func (p *parser) markupOnce() error {
 		return p.procInst(b)
 	case '!':
 		if len(b) < 3 {
-			return errMore
+			return errCut
 		}
 		switch b[2] {
 		case '-':
@@ -188,10 +115,10 @@ func (p *parser) markupOnce() error {
 		case '[':
 			const open = "<![CDATA["
 			if len(b) < len(open) {
-				return errMore
+				return errCut
 			}
 			if string(b[:len(open)]) != open {
-				return p.syntax(p.pos, "invalid <![ sequence")
+				return errSyntax(p.pos, "invalid <![ sequence")
 			}
 			p.pos += len(open)
 			return p.chars(true)
@@ -231,17 +158,17 @@ func (p *parser) qname(b []byte, i int) (prefix, local string, next int, err err
 		j++
 	}
 	if j == len(b) {
-		return "", "", 0, errMore
+		return "", "", 0, errCut
 	}
 	if j == i {
-		return "", "", 0, p.syntax(p.pos+i, "expected name")
+		return "", "", 0, errSyntax(p.pos+i, "expected name")
 	}
 	nb := b[i:j]
 	if seen < utf8.RuneSelf && !nameStartByte[nb[0]] || seen >= utf8.RuneSelf && !validName(nb) {
-		return "", "", 0, p.syntax(p.pos+i, "invalid XML name")
+		return "", "", 0, errSyntax(p.pos+i, "invalid XML name")
 	}
 	if colons > 1 {
-		return "", "", 0, p.syntax(p.pos+i, "name with more than one colon")
+		return "", "", 0, errSyntax(p.pos+i, "name with more than one colon")
 	}
 	if colon > 0 && colon < len(nb)-1 {
 		return p.intern(nb[:colon]), p.intern(nb[colon+1:]), j, nil
@@ -286,6 +213,9 @@ func internHash(b []byte) uint32 {
 // intern returns the string for b, reusing an earlier one with the
 // same bytes so repeated names and values cost no allocation.
 func (p *parser) intern(b []byte) string {
+	if len(b) > internLen {
+		return string(b)
+	}
 	h := internHash(b)
 	set := p.names[2*(h%(internSlots/2)):][:2]
 	if set[0] == string(b) {
@@ -308,7 +238,7 @@ func (p *parser) startTag(b []byte) error {
 	for {
 		i = skipSpace(b, i)
 		if i == len(b) {
-			return errMore
+			return errCut
 		}
 		if b[i] == '>' {
 			i++
@@ -316,10 +246,10 @@ func (p *parser) startTag(b []byte) error {
 		}
 		if b[i] == '/' {
 			if i+1 == len(b) {
-				return errMore
+				return errCut
 			}
 			if b[i+1] != '>' {
-				return p.syntax(p.pos+i, "expected /> in element")
+				return errSyntax(p.pos+i, "expected /> in element")
 			}
 			empty = true
 			i += 2
@@ -331,17 +261,17 @@ func (p *parser) startTag(b []byte) error {
 		}
 		j = skipSpace(b, j)
 		if j == len(b) {
-			return errMore
+			return errCut
 		}
 		if b[j] != '=' {
-			return p.syntax(p.pos+j, "attribute name without = in element")
+			return errSyntax(p.pos+j, "attribute name without = in element")
 		}
 		j = skipSpace(b, j+1)
 		if j == len(b) {
-			return errMore
+			return errCut
 		}
 		if q := b[j]; q != '"' && q != '\'' {
-			return p.syntax(p.pos+j, "unquoted or missing attribute value in element")
+			return errSyntax(p.pos+j, "unquoted or missing attribute value in element")
 		}
 		v, k, err := p.attrValue(b, j+1, b[j])
 		if err != nil {
@@ -362,7 +292,7 @@ func (p *parser) startTag(b []byte) error {
 
 // attrValue scans a quoted attribute value starting after the quote at
 // b[i-1]. Values without references or CRs are sliced straight from
-// the window; the rest are unescaped into p.val. Plain bytes are passed
+// the input; the rest are unescaped into p.val. Plain bytes are passed
 // over a word at a time (attrRun).
 func (p *parser) attrValue(b []byte, i int, quote byte) (string, int, error) {
 	start, esc := i, false
@@ -372,7 +302,7 @@ func (p *parser) attrValue(b []byte, i int, quote byte) (string, int, error) {
 			p.val = append(p.val, b[i:j]...)
 		}
 		if i = j; i == len(b) {
-			return "", 0, errMore
+			return "", 0, errCut
 		}
 		switch c := b[i]; {
 		case c == quote:
@@ -380,12 +310,9 @@ func (p *parser) attrValue(b []byte, i int, quote byte) (string, int, error) {
 			if esc {
 				v = p.val
 			}
-			if len(v) > internLen {
-				return string(v), i + 1, nil
-			}
 			return p.intern(v), i + 1, nil
 		case c == '<':
-			return "", 0, p.syntax(p.pos+i, "unescaped < inside quoted string")
+			return "", 0, errSyntax(p.pos+i, "unescaped < inside quoted string")
 		case c == '&' || c == '\r':
 			if !esc {
 				p.val = append(p.val[:0], b[start:i]...)
@@ -393,7 +320,7 @@ func (p *parser) attrValue(b []byte, i int, quote byte) (string, int, error) {
 			}
 			if c == '\r' {
 				if i+1 == len(b) {
-					return "", 0, errMore
+					return "", 0, errCut
 				}
 				p.val = append(p.val, '\n')
 				i++
@@ -404,12 +331,12 @@ func (p *parser) attrValue(b []byte, i int, quote byte) (string, int, error) {
 			}
 			var n int
 			var err error
-			if p.val, n, err = p.reference(p.val, b[i:], p.pos+i); err != nil {
+			if p.val, n, err = reference(p.val, b[i:], p.pos+i); err != nil {
 				return "", 0, err
 			}
 			i += n
 		case c >= utf8.RuneSelf:
-			n, err := p.checkRune(b[i:], p.pos+i)
+			n, err := checkRune(b[i:], p.pos+i)
 			if err != nil {
 				return "", 0, err
 			}
@@ -418,7 +345,7 @@ func (p *parser) attrValue(b []byte, i int, quote byte) (string, int, error) {
 			}
 			i += n
 		default:
-			return "", 0, p.syntax(p.pos+i, "illegal character in attribute value")
+			return "", 0, errSyntax(p.pos+i, "illegal character in attribute value")
 		}
 	}
 }
@@ -472,26 +399,23 @@ var predefined = [...]struct {
 
 // reference decodes the entity or character reference at b[0] == '&'
 // onto dst and reports how many input bytes it spans. at is b's offset
-// in the window, for errors.
-func (p *parser) reference(dst, b []byte, at int) ([]byte, int, error) {
+// in the input, for errors.
+func reference(dst, b []byte, at int) ([]byte, int, error) {
 	if len(b) > 1 && b[1] == '#' {
-		return p.charRef(dst, b, at)
+		return charRef(dst, b, at)
 	}
 	for _, e := range predefined {
 		if len(b) > len(e.ref) && string(b[1:1+len(e.ref)]) == e.ref {
 			return append(dst, e.ch), 1 + len(e.ref), nil
 		}
 	}
-	if len(b) < 6 && !p.eof {
-		return dst, 0, errMore
-	}
-	return dst, 0, p.syntax(at, "invalid character entity")
+	return dst, 0, errSyntax(at, "invalid character entity")
 }
 
 // charRef decodes &#NNN; or &#xHHH;. The referenced character must be
 // an XML Char; a surrogate code point decodes as U+FFFD, as a rune
 // conversion does.
-func (p *parser) charRef(dst, b []byte, at int) ([]byte, int, error) {
+func charRef(dst, b []byte, at int) ([]byte, int, error) {
 	i, base := 2, uint32(10)
 	if i < len(b) && b[i] == 'x' {
 		i, base = 3, 16
@@ -518,39 +442,30 @@ func (p *parser) charRef(dst, b []byte, at int) ([]byte, int, error) {
 	}
 end:
 	if i == len(b) {
-		if !p.eof {
-			return dst, 0, errMore
-		}
-		return dst, 0, p.syntax(at, "unterminated character reference")
+		return dst, 0, errSyntax(at, "unterminated character reference")
 	}
 	if b[i] != ';' || digits == 0 || v > utf8.MaxRune {
-		return dst, 0, p.syntax(at, "invalid character reference")
+		return dst, 0, errSyntax(at, "invalid character reference")
 	}
 	r := rune(v)
 	if 0xD800 <= r && r <= 0xDFFF {
 		r = utf8.RuneError
 	}
 	if !isChar(r) {
-		return dst, 0, p.syntax(at, "character reference to an illegal character")
+		return dst, 0, errSyntax(at, "character reference to an illegal character")
 	}
 	return utf8.AppendRune(dst, r), i + 1, nil
 }
 
 // checkRune validates the multi-byte UTF-8 sequence at b[0] and returns
-// its length.
-func (p *parser) checkRune(b []byte, at int) (int, error) {
-	if !utf8.FullRune(b) {
-		if !p.eof {
-			return 0, errMore
-		}
-		return 0, p.syntax(at, "invalid UTF-8")
-	}
+// its length. A sequence cut off by the end of the input is invalid.
+func checkRune(b []byte, at int) (int, error) {
 	r, n := utf8.DecodeRune(b)
 	if r == utf8.RuneError && n == 1 {
-		return 0, p.syntax(at, "invalid UTF-8")
+		return 0, errSyntax(at, "invalid UTF-8")
 	}
 	if !isChar(r) {
-		return 0, p.syntax(at, "illegal character")
+		return 0, errSyntax(at, "illegal character")
 	}
 	return n, nil
 }
@@ -566,7 +481,7 @@ func isChar(r rune) bool {
 // endTag scans an end tag. One that names the open element, as written
 // (prefix:local), is matched in place: the name bytes, optional space,
 // '>' (neither of which can continue a name). Anything else — another
-// name, an error, a tag cut off by the window's edge — goes through
+// name, an error, a tag cut off by the end of the input — goes through
 // qname and endElement's mismatch check.
 func (p *parser) endTag(b []byte) error {
 	if n := len(p.stack); n > 0 {
@@ -582,10 +497,10 @@ func (p *parser) endTag(b []byte) error {
 	}
 	i = skipSpace(b, i)
 	if i == len(b) {
-		return errMore
+		return errCut
 	}
 	if b[i] != '>' {
-		return p.syntax(p.pos+i, "invalid characters in end tag")
+		return errSyntax(p.pos+i, "invalid characters in end tag")
 	}
 	p.pos += i + 1
 	return p.endElement(prefix, local)
@@ -620,19 +535,19 @@ func hasAt(b []byte, i int, s string) int {
 
 func (p *parser) comment(b []byte) error {
 	if len(b) < 4 {
-		return errMore
+		return errCut
 	}
 	if b[3] != '-' {
-		return p.syntax(p.pos, "invalid sequence <!- not part of <!--")
+		return errSyntax(p.pos, "invalid sequence <!- not part of <!--")
 	}
 	// The first "--" after the opening must close the comment.
 	k := bytes.Index(b[4:], commentEnd)
 	if k < 0 || 4+k+2 >= len(b) {
-		return errMore
+		return errCut
 	}
 	k += 4
 	if b[k+2] != '>' {
-		return p.syntax(p.pos+k, `invalid sequence "--" not allowed in comments`)
+		return errSyntax(p.pos+k, `invalid sequence "--" not allowed in comments`)
 	}
 	p.pos += k + 3
 	if err := p.token(); err != nil {
@@ -647,19 +562,19 @@ func (p *parser) procInst(b []byte) error {
 		i++
 	}
 	if i == len(b) {
-		return errMore
+		return errCut
 	}
 	target := b[2:i]
 	if len(target) == 0 {
-		return p.syntax(p.pos, "expected target name after <?")
+		return errSyntax(p.pos, "expected target name after <?")
 	}
 	if !validName(target) {
-		return p.syntax(p.pos+2, "invalid XML name")
+		return errSyntax(p.pos+2, "invalid XML name")
 	}
 	i = skipSpace(b, i)
 	k := bytes.Index(b[i:], piEnd)
 	if k < 0 {
-		return errMore
+		return errCut
 	}
 	data := b[i : i+k]
 	p.pos += i + k + 2
@@ -713,116 +628,72 @@ func declParam(data, key []byte) []byte {
 }
 
 // chars scans one run of character data starting at pos — a text run
-// up to the next '<', or with cdata the body of a CDATA section up to
-// "]]>" — and hands it to the handlers. Plain bytes are passed over a
-// word at a time (charsRun); only references and CRs copy, into p.text.
-// Pieces are handed on when the window runs out or p.text fills, so
-// the run is delivered as one or more chunks.
+// up to the next '<' or the end of the input, or with cdata the body of
+// a CDATA section up to "]]>" — and hands it to the handlers. Plain
+// bytes are passed over a word at a time (charsRun); only references
+// and CRs copy, into p.text, which is handed on once it holds textChunk
+// bytes, so the run is delivered as one or more chunks.
 func (p *parser) chars(cdata bool) error {
 	if err := p.token(); err != nil {
 		return err
 	}
 	p.text = p.text[:0]
+	b, i := p.buf, p.pos
+	seg := i      // start of the bytes not yet copied or handed on
 	sent := false // a chunk of this run has been handed on
 	for {
-		b := p.buf[:p.end]
-		i := p.pos
-		seg := i // start of the bytes not yet copied or handed on
-	scan:
-		for {
-			i = charsRun(b, i, cdata)
-			if i == len(b) {
-				break
-			}
-			switch c := b[i]; {
-			case c == '<':
-				p.pos = i
-				return p.endChars(b[seg:i], sent)
-			case c == ']':
-				if i+2 >= len(b) && !p.eof {
-					break scan
-				}
-				if i+2 < len(b) && b[i+1] == ']' && b[i+2] == '>' {
-					if !cdata {
-						return p.syntax(i, "unescaped ]]> not in CDATA section")
-					}
-					p.pos = i + 3
-					return p.endChars(b[seg:i], sent)
-				}
-				i++
-			case c == '&':
-				p.text = append(p.text, b[seg:i]...)
-				seg = i
-				var n int
-				var err error
-				p.text, n, err = p.reference(p.text, b[i:], i)
-				if err == errMore {
-					break scan
-				}
-				if err != nil {
-					return err
-				}
-				i += n
-				seg = i
-			case c == '\r':
-				if i+1 == len(b) && !p.eof {
-					break scan
-				}
-				p.text = append(p.text, b[seg:i]...)
-				p.text = append(p.text, '\n')
-				i++
-				if i < len(b) && b[i] == '\n' {
-					i++
-				}
-				seg = i
-			case c >= utf8.RuneSelf:
-				n, err := p.checkRune(b[i:], i)
-				if err == errMore {
-					break scan
-				}
-				if err != nil {
-					return err
-				}
-				i += n
-			default:
-				return p.syntax(i, "illegal character in character data")
-			}
-			if len(p.text) >= textChunk {
-				if err := p.flushText(); err != nil {
-					return err
-				}
-				sent = true
-			}
-		}
-		// The window is spent (or ends inside a reference, a CR, a
-		// rune, or a possible "]]>"): hand on what is complete, keep
-		// the rest, read on.
-		if len(p.text) == 0 {
-			if i > seg {
-				if err := p.emitText(b[seg:i]); err != nil {
-					return err
-				}
-				sent = true
-			}
-		} else {
-			p.text = append(p.text, b[seg:i]...)
-			if len(p.text) >= textChunk {
-				if err := p.flushText(); err != nil {
-					return err
-				}
-				sent = true
-			}
-		}
-		p.pos = i
-		ok, err := p.more()
-		if err != nil {
-			return err
-		}
-		if !ok && p.pos == p.end {
+		i = charsRun(b, i, cdata)
+		if i == len(b) {
 			if cdata {
-				return p.syntax(p.end, "unexpected EOF in CDATA section")
+				return errSyntax(i, "unexpected EOF in CDATA section")
 			}
-			return p.endChars(nil, sent)
+			p.pos = i
+			return p.endChars(b[seg:i], sent)
+		}
+		switch c := b[i]; {
+		case c == '<':
+			p.pos = i
+			return p.endChars(b[seg:i], sent)
+		case c == ']':
+			if i+2 < len(b) && b[i+1] == ']' && b[i+2] == '>' {
+				if !cdata {
+					return errSyntax(i, "unescaped ]]> not in CDATA section")
+				}
+				p.pos = i + 3
+				return p.endChars(b[seg:i], sent)
+			}
+			i++
+		case c == '&':
+			p.text = append(p.text, b[seg:i]...)
+			var n int
+			var err error
+			if p.text, n, err = reference(p.text, b[i:], i); err != nil {
+				return err
+			}
+			i += n
+			seg = i
+		case c == '\r':
+			p.text = append(p.text, b[seg:i]...)
+			p.text = append(p.text, '\n')
+			i++
+			if i < len(b) && b[i] == '\n' {
+				i++
+			}
+			seg = i
+		case c >= utf8.RuneSelf:
+			n, err := checkRune(b[i:], i)
+			if err != nil {
+				return err
+			}
+			i += n
+		default:
+			return errSyntax(i, "illegal character in character data")
+		}
+		if len(p.text) >= textChunk {
+			if err := p.flushText(); err != nil {
+				return err
+			}
+			sent = true
 		}
 	}
 }
@@ -886,9 +757,9 @@ func LanesHolding(x uint64, c byte) uint64 {
 	return (v - lanesLow) &^ v & lanesHigh
 }
 
-// endChars hands on the last piece of a run. A run that fits the window
-// and needed no unescaping reaches handlers straight from the input;
-// an empty CDATA section still produces its one Text call.
+// endChars hands on the last piece of a run. A run that needed no
+// unescaping reaches handlers straight from the input, in one call; an
+// empty CDATA section still produces its one Text call.
 func (p *parser) endChars(last []byte, sent bool) error {
 	if len(p.text) == 0 {
 		if len(last) > 0 || !sent {

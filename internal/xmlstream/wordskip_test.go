@@ -9,8 +9,9 @@ import (
 // charsRun stops at against the edges of the 8-byte words it tests:
 // each delimiter, CR, TAB, LF, a lone control byte and bytes >= 0x80 at
 // word offsets 0-7 of a text run and of a CDATA section (so "]]>" also
-// straddles a word), and a CR as the last byte of the first 32 KiB read
-// window, then the same with LF following it in the next window.
+// straddles a word), and a CR as the last byte before the 32 KiB mark
+// (the edge of the read window the scanner once refilled), then the
+// same with LF following it.
 var wordSkipSeeds = func() []string {
 	var seeds []string
 	for off := 0; off < 8; off++ {
@@ -26,7 +27,7 @@ var wordSkipSeeds = func() []string {
 		if open != "<r>" {
 			closer = "]]></r>"
 		}
-		lead := open + strings.Repeat("y", windowSize-len(open)-1)
+		lead := open + strings.Repeat("y", 32<<10-len(open)-1)
 		seeds = append(seeds, lead+"\r"+closer, lead+"\r\nz"+closer)
 	}
 	return seeds

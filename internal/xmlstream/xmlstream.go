@@ -1,6 +1,6 @@
 // Package xmlstream is the module's single hardened XML tokenizer: a
-// SAX-style streaming parser that feeds handlers one token at a time,
-// never materializing the document.
+// SAX-style parser that feeds handlers one token at a time, never
+// building a tree.
 //
 // It exists so the cold verification path can be a single pass — the
 // same token stream that builds a DOM (xmldom.StreamBuilder) can
@@ -11,8 +11,9 @@
 // agree on accept/reject verdicts by construction; the differential
 // fuzz targets pin that property.
 //
-// The tokenizer is a byte-level scanner (scan.go) over a pooled read
-// window, or directly over a resident byte slice (ParseBytes). It
+// The tokenizer is a byte-level scanner (scan.go) over one resident
+// input: ParseBytes scans the caller's slice in place, and Parse reads
+// its reader to EOF into the pooled parser's buffer and scans that. It
 // accepts exactly the grammar the system needs — elements, attributes,
 // character data, CDATA sections, comments, processing instructions,
 // the five predefined entities and character references — and rejects
@@ -133,38 +134,61 @@ func newParser() any {
 }
 
 // Parse tokenizes one XML document from r, feeding every token to each
-// handler in order. It enforces well-formedness (matching end tags,
-// single document element, no duplicate attributes) plus the security
-// limits in opts, and returns the first error from the input, the
-// grammar, the limits, or a handler. Read errors are wrapped, so
-// errors.Is and errors.As reach them.
+// handler in order. It reads r to EOF into the pooled parser's buffer
+// (ReadAll) and scans those bytes as ParseBytes does. It enforces
+// well-formedness (matching end tags, single document element, no
+// duplicate attributes) plus the security limits in opts, and returns
+// the first error from the input, the grammar, the limits, or a
+// handler.
 //
-//discvet:hotpath per-token dispatch of the streaming verification pipeline; window, stack and attribute buffers are pooled, allocation only on error paths
+//discvet:hotpath per-token dispatch of the verification pipeline; input, stack and attribute buffers are pooled, allocation only on error paths
 func Parse(r io.Reader, opts Options, handlers ...Handler) error {
-	return parseReader(r, opts, minRead, handlers)
-}
-
-// parseReader is Parse with an explicit minimum read size; the tests
-// shrink it to one byte so tokens straddle window refills.
-func parseReader(r io.Reader, opts Options, least int, handlers []Handler) error {
 	p := getParser(opts, handlers)
 	defer putParser(p)
-	p.r = r
-	p.buf = p.window
-	p.least = least
+	var err error
+	if p.in, err = ReadAll(p.in[:0], r); err != nil {
+		return err
+	}
+	p.buf = p.in
 	return p.run()
 }
 
-// ParseBytes tokenizes a resident document. It is Parse without the
-// read window: the scanner works on data in place, and character data
-// that needs no unescaping reaches handlers as subslices of data.
+// ParseBytes tokenizes a resident document: the scanner works on data
+// in place, and character data that needs no unescaping reaches
+// handlers as subslices of data.
 //
 //discvet:hotpath the key front scans every warm open through here
 func ParseBytes(data []byte, opts Options, handlers ...Handler) error {
 	p := getParser(opts, handlers)
 	defer putParser(p)
-	p.buf, p.end, p.eof = data, len(data), true
+	p.buf = data
 	return p.run()
+}
+
+// ReadAll appends what r yields up to EOF to dst and returns the
+// extended slice. Read errors are wrapped, so errors.Is and errors.As
+// reach them, and a reader that returns neither bytes nor an error 100
+// times in a row fails with io.ErrNoProgress.
+func ReadAll(dst []byte, r io.Reader) ([]byte, error) {
+	for empty := 0; ; {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		switch {
+		case err == io.EOF:
+			return dst, nil
+		case err != nil:
+			return dst, errRead(err)
+		case n > 0:
+			empty = 0
+		default:
+			if empty++; empty == 100 {
+				return dst, errRead(io.ErrNoProgress)
+			}
+		}
+	}
 }
 
 func getParser(opts Options, handlers []Handler) *parser {
@@ -181,15 +205,15 @@ func getParser(opts Options, handlers []Handler) *parser {
 	// heap.
 	p.handlers = append(p.handlers[:0], handlers...)
 	p.stack = p.stack[:0]
-	p.pos, p.end, p.base, p.eof = 0, 0, 0, false
+	p.pos = 0
 	p.tokens, p.sawRoot = 0, false
 	return p
 }
 
 // maxPooled and maxPooledAttrs bound the scratch a parser keeps across
-// documents: a buffer grown past them by one huge construct (or one
-// element with a huge attribute list) is dropped rather than pinned in
-// the pool.
+// documents: a buffer grown past them by one huge document read by
+// Parse, one huge construct (or one element with a huge attribute list)
+// is dropped rather than pinned in the pool.
 const (
 	maxPooled      = 1 << 20
 	maxPooledAttrs = 1 << 10
@@ -197,11 +221,11 @@ const (
 
 //discvet:coldpath pool return is once per document
 func putParser(p *parser) {
-	p.r, p.buf = nil, nil
+	p.buf = nil
 	clear(p.handlers)
 	p.handlers = p.handlers[:0]
-	if cap(p.window) > maxPooled {
-		p.window = nil
+	if cap(p.in) > maxPooled {
+		p.in = nil
 	}
 	if cap(p.text) > maxPooled {
 		p.text = nil
@@ -218,16 +242,7 @@ func putParser(p *parser) {
 // run is the token loop: character data until the next '<', markup
 // from there, until the input ends.
 func (p *parser) run() error {
-	for {
-		if p.pos == p.end {
-			ok, err := p.more()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-		}
+	for p.pos < len(p.buf) {
 		var err error
 		if p.buf[p.pos] == '<' {
 			err = p.markup()
@@ -384,7 +399,7 @@ func checkDuplicateAttrsLarge(attrs []Attr, prefix, local string) error {
 func errRead(err error) error { return fmt.Errorf("xmlstream: parse: %w", err) }
 
 //discvet:coldpath error path
-func errSyntax(offset int64, msg string) error {
+func errSyntax(offset int, msg string) error {
 	return fmt.Errorf("xmlstream: parse: syntax error at byte %d: %s", offset, msg)
 }
 
